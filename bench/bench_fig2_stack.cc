@@ -33,11 +33,12 @@ void PrintCounts(bench::BenchReport* rep, const char* app, const LayerCounts& c)
            12);
 }
 
-LayerCounts Snapshot(Testbed& tb, std::uint64_t app_bytes, std::uint64_t segments,
-                     SimTime start) {
+// `conn` is the PC-side connection; its segments_sent fills tcp_segs.
+LayerCounts Snapshot(Testbed& tb, std::uint64_t app_bytes,
+                     const TcpConnection* conn, SimTime start) {
   LayerCounts c;
   c.app_bytes = app_bytes;
-  c.tcp_segments = segments;
+  c.tcp_segments = conn == nullptr ? 0 : conn->stats().segments_sent;
   const InterfaceStats& s = tb.pc(0).radio_if()->stats();
   c.ip_bytes = s.ibytes + s.obytes;
   c.serial_bytes = tb.pc(0).serial().a().bytes_sent() +
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
     for (const auto& line : client.transcript()) {
       app_bytes += line.size() + 2;
     }
-    PrintCounts(&rep, "telnet", Snapshot(tb, app_bytes, 0, start));
+    PrintCounts(&rep, "telnet", Snapshot(tb, app_bytes, client.connection(), start));
     rep.Events(tb.sim().events_scheduled());
   }
 
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
       app_bytes += line.size() + 2;
     }
     std::printf("%s", ok ? "" : "  (SMTP DID NOT COMPLETE)\n");
-    PrintCounts(&rep, "smtp", Snapshot(tb, app_bytes, 0, start));
+    PrintCounts(&rep, "smtp", Snapshot(tb, app_bytes, client.connection(), start));
     rep.Events(tb.sim().events_scheduled());
   }
 
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
     });
     tb.sim().RunUntil(Seconds(3600));
     std::printf("%s", ok ? "" : "  (FTP DID NOT COMPLETE)\n");
-    PrintCounts(&rep, "ftp-2000B", Snapshot(tb, data.size(), 0, start));
+    PrintCounts(&rep, "ftp-2000B", Snapshot(tb, data.size(), client.connection(), start));
     rep.Events(tb.sim().events_scheduled());
   }
 

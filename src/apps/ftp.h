@@ -81,6 +81,7 @@ class MiniFtpClient {
   void Get(const std::string& name, GetHandler done);
   void List(ListHandler done);
   void Quit();
+  const TcpConnection* connection() const { return conn_; }
 
  private:
   enum class Mode { kIdle, kAwaitPutAck, kAwaitGetHeader, kReceiving, kListing };

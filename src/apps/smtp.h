@@ -60,6 +60,10 @@ class MiniSmtpClient {
   // Drives the whole HELO/MAIL/RCPT/DATA/QUIT dialog.
   bool Send(IpV4Address server, const MailMessage& message, DoneHandler done,
             std::uint16_t port = kSmtpPort);
+  // The connection of the latest Send(), or nullptr before the first.
+  const TcpConnection* connection() const {
+    return transactions_.empty() ? nullptr : transactions_.back()->conn;
+  }
 
  private:
   enum class Phase { kGreeting, kHelo, kMail, kRcpt, kData, kBody, kQuit, kDone };

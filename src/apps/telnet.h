@@ -68,6 +68,7 @@ class TelnetClient {
   void set_closed_handler(EventHandler h) { on_closed_ = std::move(h); }
   const std::vector<std::string>& transcript() const { return transcript_; }
   bool connected() const;
+  const TcpConnection* connection() const { return conn_; }
 
  private:
   Tcp* tcp_;

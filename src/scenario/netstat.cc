@@ -220,11 +220,16 @@ std::string FormatAx25Link(const Ax25Link& link, const std::string& name) {
 }
 
 std::string FormatSimulator(const Simulator& sim) {
+  const double per_pop =
+      sim.executed_events() == 0
+          ? 0.0
+          : static_cast<double>(sim.pop_compares()) /
+                static_cast<double>(sim.executed_events());
   return Sprintf("sim: %llu events scheduled, %zu executed, %zu pending, "
-                 "event pool %zu (%zu free)\n",
+                 "event pool %zu (%zu free), %.2f heap compares/pop\n",
                  static_cast<unsigned long long>(sim.events_scheduled()),
                  sim.executed_events(), sim.pending_events(),
-                 sim.pool_capacity(), sim.pool_free());
+                 sim.pool_capacity(), sim.pool_free(), per_pop);
 }
 
 std::string FormatBufStats() {

@@ -351,4 +351,12 @@ std::size_t ShardSet::TotalEventsExecuted() const {
   return n;
 }
 
+std::uint64_t ShardSet::TotalPopCompares() const {
+  std::uint64_t n = 0;
+  for (const auto& sim : sims_) {
+    n += sim->pop_compares();
+  }
+  return n;
+}
+
 }  // namespace upr

@@ -5,16 +5,12 @@
 // in scheduling order (a monotonically increasing sequence number breaks
 // ties), so runs are bit-reproducible.
 //
-// Event storage is a hierarchical timer wheel (4 levels x 256 slots,
-// 65.536 µs base granularity, ~78 h horizon) with a binary heap as overflow
-// for beyond-horizon events. Wheel residents are doubly linked into their
-// slot, so Cancel() unlinks and recycles in O(1) — the protocol timers
-// (T1/T3/RTO/ARP/silo alarms) that are re-armed far more often than they
-// fire no longer leave tombstones behind the way the old single
-// priority_queue did (every cancelled entry used to stay queued, paying an
-// O(log n) pop and holding its pool slot until it surfaced). The execution
-// order is exactly the old (when, seq) order; `tools/check.sh` A/B-gates the
-// wheel against the legacy heap-only mode with tracediff.
+// Event storage is one indexed binary min-heap ordered by (when, seq). Every
+// pooled event records its heap position, so Cancel() removes it in
+// O(log n) and recycles its slot at once: the protocol timers (T1/T3/RTO/
+// ARP/silo alarms), re-armed far more often than they fire, leave no
+// tombstones behind. Pops cost O(log n) heap compares, counted in
+// pop_compares() as a host-independent measure of the event core's work.
 //
 // Time is kept in integer nanoseconds (`SimTime`). Helpers convert from
 // humane units.
@@ -24,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 namespace upr {
@@ -71,19 +66,7 @@ constexpr SimTime TransmitTime(std::size_t bytes, std::uint64_t bits_per_second)
 
 class Simulator {
  public:
-  // Event-queue implementation. kTimerWheel is the default; kHeap is the
-  // seed's single priority_queue with lazy tombstones, kept for the
-  // tracediff A/B equivalence gate (`uprsim --event-queue heap`).
-  enum class EventQueue { kTimerWheel, kHeap };
-
-  // Default used by Simulator() — lets tools select the implementation
-  // without threading a parameter through every scenario constructor.
-  static void SetDefaultEventQueue(EventQueue q);
-  static EventQueue default_event_queue();
-
-  Simulator();
-  explicit Simulator(EventQueue q);
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -95,7 +78,7 @@ class Simulator {
   std::uint64_t ScheduleAt(SimTime when, std::function<void()> fn);
 
   // Cancels a pending event; a no-op if it already ran or was cancelled.
-  // O(1) for wheel-resident events (unlink + immediate recycle).
+  // O(log n): the event leaves the heap and its slot is recycled at once.
   void Cancel(std::uint64_t id);
 
   // Runs events until the queue is empty or `deadline` is passed. Events at
@@ -109,115 +92,84 @@ class Simulator {
   // Runs a single event if one is pending; returns false when idle.
   bool Step();
 
-  bool Idle() const;
+  bool Idle() const { return heap_.empty(); }
   // Timestamp of the earliest pending event without running it. Returns
   // false when the queue is empty. The sharded city executor merges shard
   // queues globally-by-time with this.
-  bool NextEventTime(SimTime* when) { return PeekNextTime(when); }
-  std::size_t pending_events() const { return pending_; }
+  bool NextEventTime(SimTime* when) const;
+  std::size_t pending_events() const { return heap_.size(); }
   std::size_t executed_events() const { return executed_; }
   // Total events ever scheduled (the interrupt-rate analogue: every serial
   // byte, timer and frame delivery passes through here).
   std::uint64_t events_scheduled() const { return next_seq_ - 1; }
   // Event objects allocated over the simulator's lifetime. Events are pooled
   // on a free list, so this tracks peak concurrency, not event count.
-  std::size_t pool_capacity() const { return pool_.size(); }
+  std::size_t pool_capacity() const { return pool_size_; }
   std::size_t pool_free() const { return free_.size(); }
-  // Events currently resident in the wheel vs. the overflow heap (the heap
-  // also counts not-yet-surfaced tombstones).
-  std::size_t wheel_resident() const { return wheel_count_; }
-  std::size_t heap_resident() const { return queue_.size(); }
+  // Heap entries compared while popping events (the sift-downs of Step()).
+  // Deterministic for a given schedule, so pop_compares() /
+  // executed_events() bounds the cost per pop independently of host speed.
+  std::uint64_t pop_compares() const { return pop_compares_; }
 
  private:
-  // Wheel geometry: 4 levels of 256 slots. Level 0 slots are 2^16 ns
-  // (65.536 µs); each level is 256x coarser. Horizon = 2^48 ns ≈ 78 h;
-  // events beyond it overflow to the heap.
-  static constexpr int kLevels = 4;
-  static constexpr int kSlotBits = 8;
-  static constexpr int kSlots = 1 << kSlotBits;            // 256
-  static constexpr int kShift0 = 16;
-  static constexpr int Shift(int level) { return kShift0 + kSlotBits * level; }
-
-  static constexpr std::int8_t kLocFree = -3;
-  static constexpr std::int8_t kLocHeap = -2;
-  // loc >= 0: wheel level the event is linked into.
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+  // Events are allocated 16 at a time: one malloc per block instead of per
+  // event, and no per-event allocator header.
+  static constexpr std::size_t kBlockEvents = 16;
+  // The heap array's first allocation (4 KB). Growing a fresh queue from one
+  // entry by doubling leaves a trail of small freed buffers that the
+  // caller's next allocations land in, which measurably slowed topology
+  // construction; starting larger avoids that churn.
+  static constexpr std::size_t kInitialHeapEntries = 256;
 
   struct Event {
-    SimTime when = 0;
     std::uint64_t seq = 0;
     std::function<void()> fn;
-    Event* prev = nullptr;  // intrusive slot links while wheel-resident
-    Event* next = nullptr;
-    std::uint32_t gen = 0;        // bumped on alloc; ids embed it
+    std::uint32_t gen = 0;  // bumped on alloc; ids embed it
     std::uint32_t pool_index = 0;
-    std::int8_t loc = kLocFree;
-    std::uint16_t slot = 0;
-    bool cancelled = false;  // heap tombstone flag
+    std::uint32_t heap_pos = kNotQueued;  // index into heap_ while pending
   };
-  struct EventCompare {
-    bool operator()(const Event* a, const Event* b) const {
-      if (a->when != b->when) {
-        return a->when > b->when;
-      }
-      return a->seq > b->seq;
-    }
+
+  // A heap entry holds its event's deadline, so sifting compares without
+  // touching the event unless two deadlines tie.
+  struct Entry {
+    SimTime when;
+    Event* ev;
   };
+
   // Strict (when, seq) order — the execution order contract.
-  static bool Earlier(const Event* a, const Event* b) {
-    if (a->when != b->when) {
-      return a->when < b->when;
+  static bool Earlier(const Entry& a, const Entry& b) {
+    if (a.when != b.when) {
+      return a.when < b.when;
     }
-    return a->seq < b->seq;
+    return a.ev->seq < b.ev->seq;
   }
 
-  // Free-list allocation: events live in `pool_` for the simulator's
+  // Free-list allocation: events live in `blocks_` for the simulator's
   // lifetime and recycle through `free_` instead of a per-schedule
-  // make_shared (the old scheme paid an allocation and a control block per
-  // serial byte — the hot path bench_e5 measures).
+  // allocation (the hot path bench_e5 measures).
   Event* AllocEvent();
   void Recycle(Event* ev);
 
-  // Queue placement and removal.
-  void Place(Event* ev);
-  void WheelInsert(Event* ev, int level);
-  void WheelUnlink(Event* ev);
-  // Earliest wheel resident by (when, seq), or nullptr. Cached; recomputed
-  // only when the cached minimum is removed.
-  Event* WheelMin();
-  Event* WheelScanMin() const;
-  // First occupied slot at `level` in wrap order starting at `from`; -1 when
-  // the level is empty.
-  int FindOccupied(int level, int from) const;
-  // Re-buckets coarse slots after now_ advances across slot boundaries.
-  void AdvanceWheel(SimTime t);
-  void CascadeSlot(int level, int slot);
-  // Drops cancelled heap tombstones off the top of the heap.
-  void DrainHeapTombstones();
+  // Indexed heap maintenance; each keeps Event::heap_pos current.
+  void Put(std::size_t pos, Entry e) {
+    heap_[pos] = e;
+    e.ev->heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  void SiftUp(std::size_t pos, Entry e);
+  // Both return the number of heap entries compared.
+  std::size_t SiftDown(std::size_t pos, Entry e);
+  // Removes heap_[pos], filling the hole with the last entry.
+  std::size_t RemoveAt(std::size_t pos);
 
-  // Pops the next non-cancelled event, or nullptr. The returned event is
-  // still owned by the pool; callers must Recycle() it.
-  Event* PopNext();
-  // Time of the next pending event; false when idle.
-  bool PeekNextTime(SimTime* when);
-
-  EventQueue mode_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::size_t pending_ = 0;   // non-cancelled events in queue
   std::size_t executed_ = 0;
+  std::uint64_t pop_compares_ = 0;
 
-  // Overflow heap (and the whole store in kHeap mode).
-  std::priority_queue<Event*, std::vector<Event*>, EventCompare> queue_;
-
-  // Timer wheel state.
-  Event* slots_[kLevels][kSlots] = {};
-  std::uint64_t occ_[kLevels][kSlots / 64] = {};
-  std::uint64_t base_[kLevels] = {};  // absolute slot index of now_ per level
-  std::size_t wheel_count_ = 0;
-  Event* cached_min_ = nullptr;
-  bool cached_min_valid_ = true;  // empty wheel: valid, nullptr
-
-  std::vector<std::unique_ptr<Event>> pool_;
+  std::vector<Entry> heap_;
+  std::vector<std::unique_ptr<Event[]>> blocks_;
+  std::size_t pool_size_ = 0;  // events handed out of blocks_ so far
   std::vector<Event*> free_;
 };
 

@@ -191,11 +191,11 @@ TEST(SimulatorTest, CancelOfRecycledIdDoesNotAffectNewEvent) {
   EXPECT_TRUE(ran);
 }
 
-TEST(TimerWheelTest, CancelledWheelEventsRecycleImmediately) {
+TEST(SimulatorTest, CancelledEventsRecycleImmediately) {
   // The tombstone regression: re-arming a timer 100k times used to leave
-  // 100k dead heap entries (pool slots + O(log n) pops). With the wheel,
-  // every cancel returns its slot to the free list at once.
-  Simulator sim(Simulator::EventQueue::kTimerWheel);
+  // 100k dead heap entries (pool slots + O(log n) pops). The indexed heap
+  // removes each cancelled event and returns its slot to the free list.
+  Simulator sim;
   Timer t(&sim, [] {});
   for (int i = 0; i < 100'000; ++i) {
     t.Restart(Seconds(5));  // each Restart cancels the previous arm
@@ -208,10 +208,38 @@ TEST(TimerWheelTest, CancelledWheelEventsRecycleImmediately) {
   EXPECT_EQ(sim.pool_free(), sim.pool_capacity());
 }
 
-TEST(TimerWheelTest, OrderingAcrossSlotAndLevelBoundaries) {
-  // Deadlines straddling every wheel level (65 µs slots, 16.8 ms, 4.3 s,
-  // 18 min spans) plus a beyond-horizon event that overflows to the heap.
-  Simulator sim(Simulator::EventQueue::kTimerWheel);
+TEST(SimulatorTest, CancelFromTheMiddleKeepsHeapOrder) {
+  // Cancels at every heap position (root, inner nodes, leaves) must leave
+  // the survivors firing in exact (when, seq) order.
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 64; ++i) {
+    // Interleaved deadlines so heap positions don't follow insertion order.
+    SimTime when = Milliseconds((i * 37) % 64);
+    ids.push_back(sim.ScheduleAt(when, [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 64; i += 3) {
+    sim.Cancel(ids[i]);
+  }
+  sim.Cancel(ids[0]);  // double cancel: no-op
+  sim.RunAll();
+  std::vector<int> expected;
+  for (int ms = 0; ms < 64; ++ms) {
+    for (int i = 0; i < 64; ++i) {
+      if ((i * 37) % 64 == ms && i % 3 != 0) {
+        expected.push_back(i);
+      }
+    }
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.pool_free(), sim.pool_capacity());
+}
+
+TEST(SimulatorTest, OrderingAcrossWideDeadlineSpans) {
+  // Deadlines from microseconds to days, scheduled in reverse so insertion
+  // order is decoupled from firing order.
+  Simulator sim;
   std::vector<int> order;
   const SimTime whens[] = {
       Microseconds(1),  Microseconds(64), Microseconds(65),  Microseconds(200),
@@ -219,7 +247,6 @@ TEST(TimerWheelTest, OrderingAcrossSlotAndLevelBoundaries) {
       Seconds(5),       Seconds(1000),    Seconds(1100),     Seconds(100'000),
       Seconds(300'000), Seconds(400'000),
   };
-  // Schedule in reverse to decouple insertion order from firing order.
   for (int i = static_cast<int>(std::size(whens)) - 1; i >= 0; --i) {
     sim.ScheduleAt(whens[i], [&order, i] { order.push_back(i); });
   }
@@ -231,27 +258,25 @@ TEST(TimerWheelTest, OrderingAcrossSlotAndLevelBoundaries) {
   EXPECT_EQ(sim.Now(), Seconds(400'000));
 }
 
-TEST(TimerWheelTest, EqualTimestampsInterleaveWheelAndHeapBySeq) {
-  // Two events at the same instant, one wheel-resident and one scheduled
-  // while beyond the horizon (heap overflow): sequence order must still win.
-  Simulator sim(Simulator::EventQueue::kTimerWheel);
+TEST(SimulatorTest, EqualTimestampScheduledLaterRunsLast) {
+  // Events at the same instant run by sequence number, including one
+  // scheduled much later (from inside another event) for that instant.
+  Simulator sim;
   std::vector<int> order;
-  const SimTime far = Seconds(500'000);  // beyond the 78 h wheel horizon
-  sim.ScheduleAt(far, [&] { order.push_back(0); });   // heap resident
-  sim.ScheduleAt(far, [&] { order.push_back(1); });   // heap resident
+  const SimTime far = Seconds(500'000);
+  sim.ScheduleAt(far, [&] { order.push_back(0); });
+  sim.ScheduleAt(far, [&] { order.push_back(1); });
   sim.ScheduleAt(Seconds(250'000), [&] {
-    // By now `far` is inside the horizon: this lands in the wheel, at the
-    // same timestamp but with a later seq than the heap pair.
     sim.ScheduleAt(far, [&] { order.push_back(2); });
   });
   sim.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(TimerWheelTest, RunUntilAdvancesAcrossEmptySpans) {
-  // Large idle jumps (RunUntil with an empty wheel) must not cost per-slot
-  // work or corrupt bucketing for later schedules.
-  Simulator sim(Simulator::EventQueue::kTimerWheel);
+TEST(SimulatorTest, RunUntilAdvancesAcrossEmptySpans) {
+  // A large idle jump (RunUntil with an empty queue) must not disturb the
+  // ordering of later schedules.
+  Simulator sim;
   sim.RunUntil(Seconds(3600));
   EXPECT_EQ(sim.Now(), Seconds(3600));
   std::vector<int> order;
@@ -262,40 +287,60 @@ TEST(TimerWheelTest, RunUntilAdvancesAcrossEmptySpans) {
   EXPECT_EQ(sim.Now(), Seconds(3600) + Seconds(30));
 }
 
-TEST(TimerWheelTest, ExecutionOrderIdenticalToLegacyHeapUnderChurn) {
-  // A/B determinism gate in miniature: a randomized schedule/cancel/re-arm
-  // storm must execute in exactly the same order under the wheel and the
-  // legacy heap. (check.sh runs the full-scenario tracediff version.)
-  auto run = [](Simulator::EventQueue mode) {
-    Simulator sim(mode);
-    std::vector<std::uint64_t> fired;
-    std::vector<std::uint64_t> ids;
-    std::uint64_t lcg = 12345;
-    auto next = [&lcg] {
-      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-      return lcg >> 33;
-    };
-    for (int round = 0; round < 50; ++round) {
-      for (int i = 0; i < 40; ++i) {
-        std::uint64_t tag = next();
-        SimTime delay = static_cast<SimTime>(next() % 2'000'000'000);  // 0..2 s
-        ids.push_back(sim.Schedule(delay, [&fired, tag] { fired.push_back(tag); }));
-      }
-      // Cancel a pseudo-random third of everything ever scheduled.
-      for (std::size_t i = 0; i < ids.size(); i += 3) {
-        if (next() % 2 == 0) {
-          sim.Cancel(ids[i]);
-        }
-      }
-      sim.RunUntil(sim.Now() + Milliseconds(250));
-    }
-    sim.RunAll();
-    return fired;
+TEST(SimulatorTest, ChurnExecutionOrderMatchesPinnedSequence) {
+  // A randomized schedule/cancel/re-arm storm. The fired-tag sequence is
+  // pinned by its length, FNV-1a-64 hash and final clock, recorded on the
+  // event core this heap replaced (itself gated identical to the original
+  // priority queue); reordering a single event changes the hash.
+  Simulator sim;
+  std::vector<std::uint64_t> fired;
+  std::vector<std::uint64_t> ids;
+  std::uint64_t lcg = 12345;
+  auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
   };
-  auto wheel = run(Simulator::EventQueue::kTimerWheel);
-  auto heap = run(Simulator::EventQueue::kHeap);
-  EXPECT_GT(wheel.size(), 100u);
-  EXPECT_EQ(wheel, heap);
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      std::uint64_t tag = next();
+      SimTime delay = static_cast<SimTime>(next() % 2'000'000'000);  // 0..2 s
+      ids.push_back(sim.Schedule(delay, [&fired, tag] { fired.push_back(tag); }));
+    }
+    // Cancel a pseudo-random third of everything ever scheduled.
+    for (std::size_t i = 0; i < ids.size(); i += 3) {
+      if (next() % 2 == 0) {
+        sim.Cancel(ids[i]);
+      }
+    }
+    sim.RunUntil(sim.Now() + Milliseconds(250));
+  }
+  sim.RunAll();
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (std::uint64_t tag : fired) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (tag >> (8 * b)) & 0xFF;
+      hash *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(fired.size(), 1443u);
+  EXPECT_EQ(hash, 0xa198b9e40a7e4805ULL);
+  EXPECT_EQ(sim.Now(), 14'230'530'609);
+}
+
+TEST(SimulatorTest, PopComparesAreLogarithmic) {
+  // A deep queue of uniformly spread deadlines: every pop's sift-down may
+  // compare at most two entries per heap level.
+  Simulator sim;
+  std::uint64_t lcg = 99;
+  for (int i = 0; i < 4096; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    sim.Schedule(static_cast<SimTime>((lcg >> 33) % 1'000'000'000), [] {});
+  }
+  EXPECT_EQ(sim.pop_compares(), 0u);
+  sim.RunAll();
+  EXPECT_EQ(sim.executed_events(), 4096u);
+  EXPECT_GT(sim.pop_compares(), 0u);
+  EXPECT_LE(sim.pop_compares(), 4096u * 2 * 12);  // 2 * log2(4096) per pop
 }
 
 TEST(TimeHelpersTest, Conversions) {

@@ -3,6 +3,7 @@
 // serial-mode equivalence of a short traffic run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "src/scenario/topo_gen.h"
@@ -182,6 +183,26 @@ TEST(CityTopology, ParallelSummaryMatchesSerialAndRepeats) {
   }
   EXPECT_EQ(parallel[0], serial);
   EXPECT_EQ(parallel[1], serial);
+}
+
+// Host-stable guard on the event core's cost per pop: on the city:4x1000
+// topology (thousands of pending ping, timeout and per-byte serial events
+// per shard) the mean number of heap entries a pop compares must stay
+// logarithmic in the queue size. A scan-per-pop store fails this by orders
+// of magnitude, whatever the host's speed.
+TEST(CityTopology, HeapComparesPerPopAreLogarithmic) {
+  CityTopology city(SmallConfig(4, 1000));
+  city.Run(Seconds(1));
+  for (std::size_t k = 0; k < city.shards().shard_count(); ++k) {
+    const Simulator& sim = *city.shards().shard(k);
+    ASSERT_GT(sim.executed_events(), 0u) << "shard " << k;
+    const double mean = static_cast<double>(sim.pop_compares()) /
+                        static_cast<double>(sim.executed_events());
+    const double bound =
+        2.0 * std::ceil(std::log2(static_cast<double>(sim.pool_capacity()))) +
+        2.0;
+    EXPECT_LE(mean, bound) << "shard " << k << ", pool " << sim.pool_capacity();
+  }
 }
 
 }  // namespace

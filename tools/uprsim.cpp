@@ -61,7 +61,6 @@ struct Options {
   bool trace_enabled = false;
   std::string record_faults;
   std::string replay_faults;
-  std::string event_queue = "wheel";
   std::string ax25 = "2.0";
   std::size_t maxframe = 0;  // 0 = dialect default (4 for 2.0, 127 for 2.2)
   std::string log = "warn";
@@ -111,9 +110,6 @@ void Usage(const char* argv0) {
       "  --replay-faults F  replay the fault schedule in F instead of\n"
       "                     rolling the channel/MAC RNGs (exit 3 if the\n"
       "                     run diverges from the schedule)\n"
-      "  --event-queue Q    simulator event store: wheel (default) or heap\n"
-      "                     (the legacy priority queue; check.sh tracediffs\n"
-      "                     the two for byte-identical schedules)\n"
       "  --topo city:CxS    run the city-scale AMPRnet generator instead of\n"
       "                     the testbed: C radio channels (1..250) of S\n"
       "                     stations (1..2000) each, one gateway per channel,\n"
@@ -222,11 +218,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
     } else if (arg == "--trace-snap") {
       opt->trace_snap = count(1, 1'000'000, "an integer in [1, 1e6]");
       opt->trace_enabled = true;
-    } else if (arg == "--event-queue") {
-      opt->event_queue = next();
-      if (opt->event_queue != "wheel" && opt->event_queue != "heap") {
-        BadValue(arg, opt->event_queue.c_str(), "'wheel' or 'heap'");
-      }
     } else if (arg == "--topo") {
       opt->topo = next();
       std::string error;
@@ -296,9 +287,6 @@ int RunVcScenario(const Options& opt) {
     std::fprintf(stderr, "fault record/replay is not supported for --workload vc\n");
     return 2;
   }
-  Simulator::SetDefaultEventQueue(opt.event_queue == "heap"
-                                      ? Simulator::EventQueue::kHeap
-                                      : Simulator::EventQueue::kTimerWheel);
   Simulator sim;
   RadioChannelConfig rc;
   rc.bit_rate = opt.rate;
@@ -415,9 +403,6 @@ int RunLiveScenario(const Options& opt) {
                  "fault record/replay is not supported for --workload live\n");
     return 2;
   }
-  Simulator::SetDefaultEventQueue(opt.event_queue == "heap"
-                                      ? Simulator::EventQueue::kHeap
-                                      : Simulator::EventQueue::kTimerWheel);
   Simulator sim;
   RealtimeConfig rtc;
   rtc.time_scale = opt.time_scale;
@@ -588,10 +573,6 @@ int RunCityScenario(const Options& opt) {
     std::fprintf(stderr, "--parallel and --unsharded are exclusive\n");
     return 2;
   }
-  Simulator::SetDefaultEventQueue(opt.event_queue == "heap"
-                                      ? Simulator::EventQueue::kHeap
-                                      : Simulator::EventQueue::kTimerWheel);
-
   topo::CityConfig cfg;
   cfg.spec = opt.city_spec;
   cfg.mode = opt.unsharded ? ShardSet::Mode::kUnified
@@ -677,7 +658,7 @@ int RunCityScenario(const Options& opt) {
     const ShardStats stats = city.shards().stats();
     std::printf(
         "shards %zu mode %s threads %d lookahead %lld ns\n"
-        "events executed %zu scheduled %llu\n"
+        "events executed %zu scheduled %llu, %.2f heap compares/pop\n"
         "handoffs posted %llu injected %llu ring-overflow %llu windows %llu "
         "merge-steps %llu\n",
         city.shards().shard_count(),
@@ -687,6 +668,9 @@ int RunCityScenario(const Options& opt) {
         city.shards().threads(), static_cast<long long>(city.lookahead()),
         executed,
         static_cast<unsigned long long>(city.shards().TotalEventsScheduled()),
+        executed == 0 ? 0.0
+                      : static_cast<double>(city.shards().TotalPopCompares()) /
+                            static_cast<double>(executed),
         static_cast<unsigned long long>(stats.posted),
         static_cast<unsigned long long>(stats.injected),
         static_cast<unsigned long long>(stats.ring_overflow),
@@ -757,12 +741,6 @@ int main(int argc, char** argv) {
   if (opt.workload == "vc") {
     return RunVcScenario(opt);
   }
-
-  // Must precede Testbed construction: the simulator picks up the default at
-  // construction time.
-  Simulator::SetDefaultEventQueue(opt.event_queue == "heap"
-                                      ? Simulator::EventQueue::kHeap
-                                      : Simulator::EventQueue::kTimerWheel);
 
   TestbedConfig cfg;
   cfg.radio_pcs = opt.pcs;
