@@ -2,21 +2,17 @@
 // work rather than channel time: bytes memcpy'd between buffers and buffer
 // allocations per forwarded datagram.
 //
-// Two implementations of the same radio->radio forward are run over identical
-// input and must produce byte-identical KISS output:
+// The radio->radio forward runs on the datapath the driver uses: one owned
+// copy out of the decoder's frame buffer into a headroom-carrying PacketBuf,
+// TTL patched in place, AX.25 header prepended into headroom, KISS escape
+// write at the edge. Its output must match, byte for byte, the frame the
+// Bytes encoders build for the same forward.
 //
-//   legacy:    the seed's copy-per-layer pipeline, reconstructed from the
-//              Bytes-based wrapper APIs (KISS frame copy, AX.25 info copy,
-//              input-queue copy, IP payload copy, re-encode, AX.25 re-encode,
-//              KISS escape write);
-//   packetbuf: the current datapath — one owned copy out of the decoder's
-//              frame buffer into a headroom-carrying PacketBuf, TTL patched
-//              in place, AX.25 header prepended into headroom, KISS escape
-//              write at the edge.
-//
-// The acceptance bar (ISSUE 2): >= 3x fewer bytes copied and >= 2x fewer
-// allocations per gateway-forwarded datagram. The bench exits non-zero if
-// either ratio is missed, so tools/check.sh keeps the zero-copy path honest.
+// The gate is an absolute ceiling per payload size (the figures the
+// datapath reached when the copy-per-layer pipeline it replaced was
+// retired; that pipeline's numbers are kept in EXPERIMENTS.md). The bench
+// exits non-zero if any forward copies more bytes or allocates more often,
+// so tools/check.sh keeps the zero-copy path honest.
 #include <cstdio>
 #include <cstdlib>
 
@@ -37,9 +33,11 @@ const Ax25Address kPcCall("PC0", 0);
 const Ax25Address kGwCall("GW", 0);
 const Ax25Address kNextCall("PC1", 0);
 
-// One UI/IP KISS frame as it arrives from the TNC, carrying an IP datagram
-// with `payload_len` transport bytes.
-Bytes MakeInputWire(std::size_t payload_len) {
+// One UI/IP KISS frame carrying an IP datagram with `payload_len` transport
+// bytes: as it arrives from the TNC (PC0 -> GW), or as the gateway must send
+// it on (GW -> PC1, TTL one lower). The forwarded frame, built by the Bytes
+// encoders, is the reference for the datapath's wire output.
+Bytes MakeWire(std::size_t payload_len, bool forwarded) {
   Bytes payload(payload_len, 0);
   for (std::size_t i = 0; i < payload_len; ++i) {
     // Include FEND/FESC values so KISS escaping does real work.
@@ -50,64 +48,36 @@ Bytes MakeInputWire(std::size_t payload_len) {
   h.protocol = kIpProtoUdp;
   h.source = IpV4Address(44, 24, 1, 2);
   h.destination = IpV4Address(44, 24, 2, 3);
-  Ax25Frame f = Ax25Frame::MakeUi(kGwCall, kPcCall, kPidIp, h.Encode(payload));
+  if (forwarded) {
+    --h.ttl;
+  }
+  Ax25Frame f = forwarded
+                    ? Ax25Frame::MakeUi(kNextCall, kGwCall, kPidIp, h.Encode(payload))
+                    : Ax25Frame::MakeUi(kGwCall, kPcCall, kPidIp, h.Encode(payload));
   return KissEncodeData(f.Encode());
 }
 
-// The seed's forward, step by step: every layer boundary re-materializes the
-// packet in a fresh buffer.
-Bytes ForwardLegacy(const Bytes& in_wire) {
+// The datapath: decode over views, one owned copy, prepend in place.
+Bytes Forward(const Bytes& in_wire) {
   Bytes out_wire;
-  KissDecoder dec([&](const KissFrame& kf) {  // frame copied out of decoder
-    auto fr = Ax25Frame::Decode(kf.payload);  // info copied into the frame
+  KissDecoder dec([&](std::uint8_t, KissCommand, ByteView frame_wire) {
+    auto fr = Ax25Frame::DecodeView(frame_wire);
     if (!fr) {
       return;
     }
-    // Input-queue hop: the driver handed the stack an owned Bytes copy.
-    Bytes queued;
+    PacketBuf pb;
     {
       BufLayerScope scope(BufLayer::kDriver);
-      BufNoteAlloc();
-      BufNoteCopy(fr->info.size());
+      pb = PacketBuf::FromView(fr->info, PacketBuf::kDefaultHeadroom);
     }
-    queued = fr->info;
-    auto parsed = Ipv4Header::Decode(queued);  // payload copied out
-    if (!parsed) {
+    if (!Ipv4Header::DecodeView(pb.view())) {
       return;
     }
-    Ipv4Header fwd = parsed->header;
-    --fwd.ttl;
-    Bytes datagram = fwd.Encode(parsed->payload);  // re-serialized
-    Ax25Frame out =
-        Ax25Frame::MakeUi(kNextCall, kGwCall, kPidIp, std::move(datagram));
-    out_wire = KissEncodeData(out.Encode());  // info copied again, then escaped
+    Ipv4Header::DecrementTtlInPlace(pb.data());
+    Ax25Frame out = Ax25Frame::MakeUi(kNextCall, kGwCall, kPidIp, {});
+    out.EncodeTo(&pb);
+    KissEncodeInto(pb.view(), &out_wire);
   });
-  dec.Feed(in_wire);
-  return out_wire;
-}
-
-// The current datapath: decode over views, one owned copy, prepend in place.
-Bytes ForwardPacketBuf(const Bytes& in_wire) {
-  Bytes out_wire;
-  KissDecoder dec(KissDecoder::FrameViewHandler(
-      [&](std::uint8_t, KissCommand, ByteView frame_wire) {
-        auto fr = Ax25Frame::DecodeView(frame_wire);
-        if (!fr) {
-          return;
-        }
-        PacketBuf pb;
-        {
-          BufLayerScope scope(BufLayer::kDriver);
-          pb = PacketBuf::FromView(fr->info, PacketBuf::kDefaultHeadroom);
-        }
-        if (!Ipv4Header::DecodeView(pb.view())) {
-          return;
-        }
-        Ipv4Header::DecrementTtlInPlace(pb.data());
-        Ax25Frame out = Ax25Frame::MakeUi(kNextCall, kGwCall, kPidIp, {});
-        out.EncodeTo(&pb);
-        KissEncodeInto(pb.view(), &out_wire);
-      }));
   dec.Feed(in_wire);
   return out_wire;
 }
@@ -117,11 +87,11 @@ struct RunStats {
   double allocs_per_dgram = 0;
 };
 
-RunStats Measure(const Bytes& in_wire, Bytes (*forward)(const Bytes&), int iters) {
+RunStats Measure(const Bytes& in_wire, int iters) {
   ResetBufStats();
   Bytes last;
   for (int i = 0; i < iters; ++i) {
-    last = forward(in_wire);
+    last = Forward(in_wire);
   }
   BufLayerStats t = BufStatsTotal();
   RunStats r;
@@ -145,28 +115,27 @@ int main(int argc, char** argv) {
 
   std::printf("E8-copy: buffer work per gateway-forwarded datagram\n");
   rep.Header("radio->radio forward, per datagram",
-              {"payload", "legacy_B", "pbuf_B", "B_ratio", "legacy_al", "pbuf_al",
-               "al_ratio"},
-              11);
+             {"payload", "copied_B", "max_B", "allocs", "max_allocs"}, 11);
 
+  // Ceilings per payload size: bytes copied, and allocations.
+  struct Case {
+    std::size_t payload;
+    double max_bytes;
+    double max_allocs;
+  };
+  const Case cases[] = {{64, 187, 1.0}, {200, 460, 1.0}, {236, 532, 1.0}};
   bool ok = true;
-  for (std::size_t payload : {64u, 200u, 236u}) {
-    Bytes in_wire = MakeInputWire(payload);
-    // The two pipelines must agree on the wire, byte for byte.
-    if (ForwardLegacy(in_wire) != ForwardPacketBuf(in_wire)) {
-      std::fprintf(stderr, "output mismatch at payload %zu\n", payload);
+  for (const Case& c : cases) {
+    Bytes in_wire = MakeWire(c.payload, /*forwarded=*/false);
+    if (Forward(in_wire) != MakeWire(c.payload, /*forwarded=*/true)) {
+      std::fprintf(stderr, "output mismatch at payload %zu\n", c.payload);
       return 1;
     }
-    RunStats legacy = Measure(in_wire, ForwardLegacy, iters);
-    RunStats pbuf = Measure(in_wire, ForwardPacketBuf, iters);
-    double b_ratio = legacy.bytes_per_dgram / pbuf.bytes_per_dgram;
-    double a_ratio = legacy.allocs_per_dgram / pbuf.allocs_per_dgram;
-    rep.Row({FmtInt(payload), Fmt(legacy.bytes_per_dgram, 0),
-             Fmt(pbuf.bytes_per_dgram, 0), Fmt(b_ratio, 2),
-             Fmt(legacy.allocs_per_dgram, 1), Fmt(pbuf.allocs_per_dgram, 1),
-             Fmt(a_ratio, 2)},
+    RunStats r = Measure(in_wire, iters);
+    rep.Row({FmtInt(c.payload), Fmt(r.bytes_per_dgram, 0), Fmt(c.max_bytes, 0),
+             Fmt(r.allocs_per_dgram, 1), Fmt(c.max_allocs, 1)},
             11);
-    if (b_ratio < 3.0 || a_ratio < 2.0) {
+    if (r.bytes_per_dgram > c.max_bytes || r.allocs_per_dgram > c.max_allocs) {
       ok = false;
     }
   }
@@ -188,7 +157,7 @@ int main(int argc, char** argv) {
     rep.Events(tb.sim().events_scheduled());
   }
 
-  std::printf("\n%s: bytes ratio >= 3x and alloc ratio >= 2x %s\n", ok ? "PASS" : "FAIL",
-              ok ? "met" : "NOT met");
+  std::printf("\n%s: bytes copied and allocations per datagram %s the ceilings\n",
+              ok ? "PASS" : "FAIL", ok ? "within" : "ABOVE");
   return rep.Finish(ok ? 0 : 1);
 }

@@ -76,9 +76,10 @@ X3Result RunOne(std::size_t paclen, std::uint8_t window, double ber,
       if (Crc16Ccitt(body) != fcs) {
         return;
       }
-      auto frame = Ax25Frame::Decode(body);
-      if (frame && frame->destination == raw->link->local_address()) {
-        raw->link->HandleFrame(*frame);
+      auto decoded = Ax25Frame::DecodeView(body);
+      if (decoded && decoded->frame.destination == raw->link->local_address()) {
+        decoded->frame.info.assign(decoded->info.begin(), decoded->info.end());
+        raw->link->HandleFrame(decoded->frame);
       }
     });
     return st;

@@ -66,7 +66,7 @@ std::unique_ptr<VcStation> MakeVcStation(Simulator* sim, RadioChannel* channel,
                                          const Ax25LinkConfig& lc) {
   auto st = std::make_unique<VcStation>();
   st->stack = std::make_unique<NetStack>(sim, name);
-  st->serial = std::make_unique<SerialLine>(sim, 9600);
+  st->serial = std::make_unique<SerialLine>(sim, SerialLineConfig{.baud_rate = 9600});
   TncConfig tnc_cfg;
   tnc_cfg.mac.turnaround = 0;
   tnc_cfg.local_addresses.push_back(*Ax25Address::Parse(call));

@@ -363,24 +363,6 @@ std::optional<Ax25Frame::DecodedView> Ax25Frame::DecodeView(
   return out;
 }
 
-std::optional<Ax25Frame> Ax25Frame::Decode(const Bytes& wire,
-                                           Ax25Modulus modulus) {
-  std::optional<DecodedView> v = DecodeView(wire, modulus);
-  if (!v) {
-    return std::nullopt;
-  }
-  Ax25Frame f = std::move(v->frame);
-  {
-    BufLayerScope scope(BufLayer::kAx25);
-    if (!v->info.empty()) {
-      BufNoteAlloc();
-      BufNoteCopy(v->info.size());
-    }
-  }
-  f.info.assign(v->info.begin(), v->info.end());
-  return f;
-}
-
 std::string Ax25Frame::ToString() const {
   std::string out = source.ToString() + ">" + destination.ToString();
   for (const auto& d : digipeaters) {

@@ -190,17 +190,17 @@ struct Ax25Frame {
   void EncodeTo(PacketBuf* pb) const;
 
   Bytes Encode() const;
-  static std::optional<Ax25Frame> Decode(
-      const Bytes& wire, Ax25Modulus modulus = Ax25Modulus::kMod8);
 
   struct DecodedView;
-  // As Decode, but the info field stays a non-owning view into `wire`
-  // (frame.info is left empty). Valid only while the wire buffer lives.
-  // `modulus` selects the control-field width used to parse I and S frames;
-  // both widths classify I/S/U identically from the first control byte, so a
-  // mod-8 parse of mod-128 bytes gets the type right and only the sequence
-  // numbers wrong — which is why the driver can pre-parse with kMod8 and the
-  // LAPB layer re-parse the raw wire for extended-mode connections.
+  // Parses `wire` (no FCS). The info field stays a non-owning view into
+  // `wire` (frame.info is left empty), valid only while the wire buffer
+  // lives; a receiver that keeps the frame copies the view into frame.info
+  // itself. `modulus` selects the control-field width used to parse I and S
+  // frames; both widths classify I/S/U identically from the first control
+  // byte, so a mod-8 parse of mod-128 bytes gets the type right and only the
+  // sequence numbers wrong — which is why the driver can pre-parse with
+  // kMod8 and the LAPB layer re-parse the raw wire for extended-mode
+  // connections.
   static std::optional<DecodedView> DecodeView(
       ByteView wire, Ax25Modulus modulus = Ax25Modulus::kMod8);
 

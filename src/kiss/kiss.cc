@@ -176,25 +176,10 @@ void KissDecoder::EmitFrame() {
                 "cmd=" + std::to_string(static_cast<int>(command)));
     }
   }
-  if (view_handler_) {
-    // Zero-copy delivery: the view aliases current_ and is consumed within
-    // the callback; clear only afterwards.
-    view_handler_(port, command,
-                  ByteView(current_.data() + 1, current_.size() - 1));
-    current_.clear();
-    return;
-  }
-  KissFrame frame;
-  frame.port = port;
-  frame.command = command;
-  {
-    BufLayerScope scope(BufLayer::kKiss);
-    BufNoteAlloc();
-    BufNoteCopy(current_.size() - 1);
-  }
-  frame.payload.assign(current_.begin() + 1, current_.end());
+  // The view aliases current_ and is consumed within the callback; clear
+  // only afterwards.
+  handler_(port, command, ByteView(current_.data() + 1, current_.size() - 1));
   current_.clear();
-  handler_(frame);
 }
 
 void KissDecoder::Accept(std::uint8_t byte) {

@@ -63,7 +63,9 @@ Bytes KissEncode(const KissFrame& frame);
 Bytes KissEncodeData(const Bytes& ax25_frame, std::uint8_t port = 0);
 
 // Streaming decoder. Feed bytes as they arrive; complete frames are delivered
-// through the callback. Tolerates idle FENDs between frames. A FESC followed
+// through the callback as a view of the decoder's own frame buffer, so the
+// unescaped bytes are never copied out — a receiver copies only what it
+// keeps past the callback. Tolerates idle FENDs between frames. A FESC followed
 // by anything other than TFEND/TFESC aborts the current frame (counted in
 // protocol_errors and bad_escapes) per the Chepponis/Karn spec: a FESC-FEND
 // drops the frame and the FEND still delimits (the next frame decodes
@@ -71,16 +73,13 @@ Bytes KissEncodeData(const Bytes& ax25_frame, std::uint8_t port = 0);
 // longer than `max_frame` are dropped (counted in oversize_drops).
 class KissDecoder {
  public:
-  using FrameHandler = std::function<void(const KissFrame&)>;
-  // Zero-copy delivery: the payload view aliases the decoder's internal
-  // buffer and is valid only for the duration of the callback.
+  // The payload view aliases the decoder's internal buffer and is valid
+  // only for the duration of the callback.
   using FrameViewHandler =
       std::function<void(std::uint8_t port, KissCommand command, ByteView payload)>;
 
-  explicit KissDecoder(FrameHandler handler, std::size_t max_frame = 4096)
-      : handler_(std::move(handler)), max_frame_(max_frame) {}
   explicit KissDecoder(FrameViewHandler handler, std::size_t max_frame = 4096)
-      : view_handler_(std::move(handler)), max_frame_(max_frame) {}
+      : handler_(std::move(handler)), max_frame_(max_frame) {}
 
   void Feed(std::uint8_t byte);
   // Chunked feed, for silo-mode serial delivery: behaves exactly as feeding
@@ -105,8 +104,7 @@ class KissDecoder {
   void EmitFrame();
   void Accept(std::uint8_t byte);
 
-  FrameHandler handler_;
-  FrameViewHandler view_handler_;
+  FrameViewHandler handler_;
   std::size_t max_frame_;
   State state_ = State::kIdle;
   Bytes current_;

@@ -217,9 +217,11 @@ void Icmp::HandleRedirect(const Ipv4Header& ip, const IcmpMessage& msg,
   }
   ByteReader r(msg.body);
   IpV4Address better_gateway(r.ReadU32());
-  Bytes inner = r.ReadRest();
-  auto orig = Ipv4Header::Decode(inner);
-  if (!r.ok() || !orig) {
+  if (!r.ok()) {
+    return;
+  }
+  auto orig = Ipv4Header::DecodeView(ByteView(msg.body).subspan(r.position()));
+  if (!orig) {
     return;
   }
   IpV4Address dest = orig->header.destination;

@@ -49,14 +49,10 @@ class NetInterface {
 
   // Sends one IP datagram (already serialized) toward `next_hop` — a
   // neighbour on this link. Handles link-address resolution and framing.
-  virtual void Output(const Bytes& ip_datagram, IpV4Address next_hop) = 0;
-  // PacketBuf-carrying variant — the datapath entry point. Headroom-aware
-  // drivers override it to prepend link framing in place; the default
-  // flattens the buffer and calls the Bytes overload so legacy drivers keep
-  // working unchanged.
-  virtual void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
-    Output(ip_datagram.Release(), next_hop);
-  }
+  // Headroom-aware drivers prepend link framing in place; a driver that
+  // needs the datagram as owned bytes takes them with Release(), which is
+  // a move when the data fills its storage exactly.
+  virtual void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) = 0;
 
   NetStack* stack() const { return stack_; }
   InterfaceStats& stats() { return stats_; }
@@ -65,9 +61,9 @@ class NetInterface {
  protected:
   friend class NetStack;
 
-  // Delivers a received IP datagram to the owning stack's input queue.
-  void DeliverToStack(const Bytes& ip_datagram);
-  // Move-in variant: the buffer rides the input queue without copying.
+  // Delivers a received IP datagram to the owning stack's input queue; the
+  // buffer rides the queue without copying. A driver that owns its bytes
+  // passes PacketBuf::Adopt(std::move(bytes)).
   void DeliverToStack(PacketBuf&& ip_datagram);
 
   std::string name_;

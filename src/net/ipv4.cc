@@ -104,24 +104,6 @@ std::optional<Ipv4Header::ParsedView> Ipv4Header::DecodeView(ByteView datagram) 
   return p;
 }
 
-std::optional<Ipv4Header::Parsed> Ipv4Header::Decode(const Bytes& datagram) {
-  std::optional<ParsedView> v = DecodeView(datagram);
-  if (!v) {
-    return std::nullopt;
-  }
-  Parsed p;
-  p.header = std::move(v->header);
-  {
-    BufLayerScope scope(BufLayer::kIp);
-    if (!v->payload.empty()) {
-      BufNoteAlloc();
-      BufNoteCopy(v->payload.size());
-    }
-  }
-  p.payload.assign(v->payload.begin(), v->payload.end());
-  return p;
-}
-
 void Ipv4Header::DecrementTtlInPlace(std::uint8_t* datagram) {
   std::size_t hlen = static_cast<std::size_t>(datagram[0] & 0x0F) * 4;
   --datagram[8];

@@ -45,13 +45,10 @@ struct Ipv4Header {
   // Serializes header + payload, computing the header checksum.
   Bytes Encode(const Bytes& payload) const;
 
-  struct Parsed;
-  // Validates version, length fields and checksum.
-  static std::optional<Parsed> Decode(const Bytes& datagram);
-
   struct ParsedView;
-  // As Decode, but the payload is a non-owning view into `datagram` — no
-  // copy. The view is valid only while the underlying buffer lives.
+  // Validates version, length fields and checksum. The payload is a
+  // non-owning view into `datagram` — no copy. The view is valid only while
+  // the underlying buffer lives.
   static std::optional<ParsedView> DecodeView(ByteView datagram);
 
   // Forwarding fast path: decrements TTL and recomputes the header checksum
@@ -59,11 +56,6 @@ struct Ipv4Header {
   static void DecrementTtlInPlace(std::uint8_t* datagram);
 
   std::string ToString() const;
-};
-
-struct Ipv4Header::Parsed {
-  Ipv4Header header;
-  Bytes payload;
 };
 
 struct Ipv4Header::ParsedView {

@@ -31,12 +31,6 @@ void NetInterface::Configure(IpV4Address address, int prefix_len) {
   }
 }
 
-void NetInterface::DeliverToStack(const Bytes& ip_datagram) {
-  if (stack_ != nullptr) {
-    stack_->EnqueueFromDriver(ip_datagram, this);
-  }
-}
-
 void NetInterface::DeliverToStack(PacketBuf&& ip_datagram) {
   if (stack_ != nullptr) {
     stack_->EnqueueFromDriver(std::move(ip_datagram), this);

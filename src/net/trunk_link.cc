@@ -35,7 +35,7 @@ SimTime TrunkLink::TransmitTime(std::size_t bytes) const {
                               config_.bit_rate);
 }
 
-void TrunkLink::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
+void TrunkLink::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
   (void)next_hop;  // point-to-point: there is exactly one place to go
   UPR_INVARIANT(peer_ != nullptr, "trunk %s: output before Wire()",
                 name_.c_str());
@@ -57,15 +57,15 @@ void TrunkLink::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
   stats_.obytes += ip_datagram.size();
   // The local completion event frees a queue slot when the last bit departs;
   // it stays on this shard. The delivery crosses shards through the handoff
-  // lane, carrying an owned copy of the bytes (buffers never migrate
-  // between shard threads).
+  // lane, carrying the datagram as owned bytes; the far shard adopts them
+  // into a PacketBuf of its own, so no PacketBuf crosses shard threads.
   sim->ScheduleAt(busy_until_, [this] {
     UPR_INVARIANT(inflight_ > 0, "trunk %s: inflight underflow",
                   name_.c_str());
     --inflight_;
   });
   shards_->Post(shard_, peer_->shard_, deliver,
-                [peer = peer_, data = ip_datagram]() mutable {
+                [peer = peer_, data = ip_datagram.Release()]() mutable {
                   peer->RxDeliver(std::move(data));
                 });
 }
@@ -77,7 +77,7 @@ void TrunkLink::RxDeliver(Bytes&& ip_datagram) {
   }
   ++stats_.ipackets;
   stats_.ibytes += ip_datagram.size();
-  DeliverToStack(ip_datagram);
+  DeliverToStack(PacketBuf::Adopt(std::move(ip_datagram)));
 }
 
 }  // namespace upr

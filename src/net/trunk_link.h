@@ -49,7 +49,7 @@ class TrunkLink : public NetInterface {
   TrunkLink* peer() const { return peer_; }
   const TrunkConfig& config() const { return config_; }
 
-  void Output(const Bytes& ip_datagram, IpV4Address next_hop) override;
+  void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) override;
 
  private:
   // Runs on the peer's shard (posted closure).

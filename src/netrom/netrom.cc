@@ -62,8 +62,8 @@ Bytes NetRomPacket::Encode() const {
   return out;
 }
 
-std::optional<NetRomPacket> NetRomPacket::Decode(const Bytes& wire) {
-  ByteReader r(wire);
+std::optional<NetRomPacket> NetRomPacket::Decode(ByteView wire) {
+  ByteReader r(wire.data(), wire.size());
   NetRomPacket p;
   auto src = ReadCallsign(&r);
   auto dst = ReadCallsign(&r);
@@ -303,7 +303,7 @@ NetRomIpInterface::NetRomIpInterface(NetRomNode* node, std::string name, std::si
   node_->RegisterOpcodeHandler(
       NetRomPacket::kOpcodeIp,
       [this](const Ax25Address&, std::uint8_t, const Bytes& payload) {
-        DeliverToStack(payload);
+        DeliverToStack(PacketBuf::Adopt(Bytes(payload)));
       });
 }
 
@@ -311,7 +311,7 @@ void NetRomIpInterface::MapIpToNode(IpV4Address ip, const Ax25Address& node) {
   ip_to_node_[ip] = node;
 }
 
-void NetRomIpInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
+void NetRomIpInterface::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
   if (!up_) {
     ++stats_.oerrors;
     return;
@@ -324,7 +324,7 @@ void NetRomIpInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
   }
   ++stats_.opackets;
   stats_.obytes += ip_datagram.size();
-  if (!node_->SendDatagram(it->second, NetRomPacket::kOpcodeIp, ip_datagram)) {
+  if (!node_->SendDatagram(it->second, NetRomPacket::kOpcodeIp, ip_datagram.Release())) {
     ++stats_.oerrors;
   }
 }

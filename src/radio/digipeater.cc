@@ -32,20 +32,26 @@ void Digipeater::OnReceive(const Bytes& wire, bool corrupted) {
     ++frames_dropped_;
     return;
   }
-  auto frame = Ax25Frame::Decode(body);
-  if (!frame) {
+  auto decoded = Ax25Frame::DecodeView(body);
+  if (!decoded) {
     ++frames_dropped_;
     return;
   }
-  Ax25Digipeater* next = frame->NextDigipeater();
+  Ax25Frame& frame = decoded->frame;
+  Ax25Digipeater* next = frame.NextDigipeater();
   if (next == nullptr || next->address != callsign_) {
     return;  // not addressed through us (or already fully repeated)
   }
   next->repeated = true;
   ++frames_repeated_;
   UPR_TRACE(kTag, "%s repeating %s", callsign_.ToString().c_str(),
-            frame->ToString().c_str());
-  Bytes out = frame->Encode();
+            frame.ToString().c_str());
+  // Re-encode with the H bit set: the info view lands behind the new header
+  // in one exact-fit buffer.
+  PacketBuf pb = PacketBuf::FromView(
+      frame.CarriesInfo() ? decoded->info : ByteView(), frame.HeaderLength());
+  frame.EncodeTo(&pb);
+  Bytes out = pb.Release();
   std::uint16_t new_fcs = Crc16Ccitt(out);
   out.push_back(static_cast<std::uint8_t>(new_fcs & 0xFF));
   out.push_back(static_cast<std::uint8_t>(new_fcs >> 8));

@@ -26,12 +26,13 @@ bool ChannelMonitor::Saw(const std::string& needle) const {
   return false;
 }
 
-std::string ChannelMonitor::DescribePayload(const Ax25Frame& frame) const {
+std::string ChannelMonitor::DescribePayload(const Ax25Frame& frame,
+                                            ByteView info) const {
   if (frame.type != Ax25FrameType::kUi) {
     return "";
   }
   if (frame.pid == kPidIp) {
-    auto ip = Ipv4Header::Decode(frame.info);
+    auto ip = Ipv4Header::DecodeView(info);
     if (!ip) {
       return " (IP: malformed)";
     }
@@ -50,7 +51,7 @@ std::string ChannelMonitor::DescribePayload(const Ax25Frame& frame) const {
     return " (ARP)";
   }
   if (frame.pid == kPidNetRom) {
-    auto p = NetRomPacket::Decode(frame.info);
+    auto p = NetRomPacket::Decode(info);
     if (p) {
       char buf[96];
       std::snprintf(buf, sizeof(buf), " (NET/ROM %s>%s ttl=%u op=%02x len=%zu)",
@@ -81,12 +82,13 @@ void ChannelMonitor::OnFrame(const Bytes& wire, bool corrupted) {
       ++counters_.corrupted;
       line += "<bad FCS " + std::to_string(wire.size()) + " bytes>";
     } else {
-      auto frame = Ax25Frame::Decode(body);
-      if (!frame) {
+      auto decoded = Ax25Frame::DecodeView(body);
+      if (!decoded) {
         line += "<undecodable frame>";
       } else {
-        if (frame->type == Ax25FrameType::kUi) {
-          switch (frame->pid) {
+        const Ax25Frame& frame = decoded->frame;
+        if (frame.type == Ax25FrameType::kUi) {
+          switch (frame.pid) {
             case kPidIp:
               ++counters_.ui_ip;
               break;
@@ -103,7 +105,12 @@ void ChannelMonitor::OnFrame(const Bytes& wire, bool corrupted) {
         } else {
           ++counters_.connected_mode;
         }
-        line += frame->ToString() + DescribePayload(*frame);
+        // The info stays a view, so ToString() cannot see its length.
+        line += frame.ToString();
+        if (!decoded->info.empty()) {
+          line += " len=" + std::to_string(decoded->info.size());
+        }
+        line += DescribePayload(frame, decoded->info);
       }
     }
   }

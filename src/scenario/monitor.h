@@ -45,7 +45,7 @@ class ChannelMonitor {
 
  private:
   void OnFrame(const Bytes& wire, bool corrupted);
-  std::string DescribePayload(const Ax25Frame& frame) const;
+  std::string DescribePayload(const Ax25Frame& frame, ByteView info) const;
 
   Simulator* sim_;
   LineHandler on_line_;

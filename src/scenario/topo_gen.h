@@ -25,7 +25,7 @@
 // channel (exercising the backbone), and every sixteenth reaches its
 // gateway through a digipeater path. All randomness is per-station
 // (MixSeed), consumed only on the station's own shard, so the schedule is
-// identical across unified / sharded / parallel execution.
+// identical across sharded and parallel execution.
 #ifndef SRC_SCENARIO_TOPO_GEN_H_
 #define SRC_SCENARIO_TOPO_GEN_H_
 

@@ -14,9 +14,6 @@ SerialLine::SerialLine(Simulator* sim, SerialLineConfig config)
   b_.peer_ = &a_;
 }
 
-SerialLine::SerialLine(Simulator* sim, std::uint32_t baud_rate)
-    : SerialLine(sim, SerialLineConfig{.baud_rate = baud_rate}) {}
-
 SimTime SerialLine::byte_time() const { return transfer_time(1); }
 
 SimTime SerialLine::transfer_time(std::uint64_t n) const {
@@ -25,8 +22,6 @@ SimTime SerialLine::transfer_time(std::uint64_t n) const {
                    static_cast<double>(config_.baud_rate) *
                    static_cast<double>(kSecond)));
 }
-
-void SerialEndpoint::Write(std::uint8_t byte) { Write(Bytes{byte}); }
 
 std::uint64_t SerialEndpoint::tx_room() const {
   std::uint64_t cap = line_->config_.max_backlog;
@@ -45,12 +40,6 @@ void SerialEndpoint::DeliverChunk(const std::uint8_t* data, std::size_t len) {
   }
   if (on_bytes_) {
     on_bytes_(data, len);
-    return;
-  }
-  if (on_byte_) {
-    for (std::size_t i = 0; i < len; ++i) {
-      on_byte_(data[i]);
-    }
   }
 }
 

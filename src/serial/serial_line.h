@@ -11,8 +11,8 @@
 //    at as the cure for per-character overhead. Bytes accumulate in a
 //    hardware silo of `silo_depth` characters; one delivery event fires when
 //    the silo fills, or `silo_timeout` after the line goes quiet (the DZ-11
-//    silo alarm). Receivers that install a chunk handler get the whole batch
-//    in one callback — one interrupt per silo-full instead of per character.
+//    silo alarm). The receiver gets the whole batch in one callback — one
+//    interrupt per silo-full instead of per character.
 //
 // Either way the byte stream, its ordering and its wire timing are
 // identical; only the number of delivery events (interrupts) changes.
@@ -53,23 +53,17 @@ struct SerialLineConfig {
 // One end of the line. Obtain via SerialLine::a()/b().
 class SerialEndpoint {
  public:
-  using ByteHandler = std::function<void(std::uint8_t)>;
   using ChunkHandler = std::function<void(const std::uint8_t* data, std::size_t len)>;
 
-  // Handler runs once per received byte, at the byte's delivery time.
-  void set_receive_handler(ByteHandler h) { on_byte_ = std::move(h); }
-  // Chunk handler runs once per delivery event with every byte it carried
-  // (size 1 in per-byte mode, up to silo_depth in silo mode). When set it
-  // takes precedence over the per-byte handler; when only the per-byte
-  // handler is set, chunks are unrolled into per-byte calls so existing
-  // consumers work under either mode.
+  // Runs once per delivery event, at its delivery time, with every byte it
+  // carried: one byte per event in per-byte mode, up to silo_depth in silo
+  // mode. The data is valid only for the duration of the call.
   void set_receive_chunk_handler(ChunkHandler h) { on_bytes_ = std::move(h); }
 
   // Queues bytes for transmission to the far end. Never blocks; the line
   // serializes output at the baud rate. Bytes beyond the configured
   // max_backlog are dropped and counted in overruns()/bytes_dropped().
   void Write(const Bytes& bytes);
-  void Write(std::uint8_t byte);
 
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t bytes_received() const { return bytes_received_; }
@@ -115,7 +109,6 @@ class SerialEndpoint {
   SerialLine* line_ = nullptr;
   SerialEndpoint* peer_ = nullptr;
   std::string name_;
-  ByteHandler on_byte_;
   ChunkHandler on_bytes_;
   SimTime busy_until_ = 0;  // when this direction's last queued byte lands
   // Byte-accurate clock for this direction: bytes sent since `tx_epoch_`.
@@ -140,8 +133,6 @@ class SerialEndpoint {
 class SerialLine {
  public:
   SerialLine(Simulator* sim, SerialLineConfig config);
-  // Back-compat convenience: per-byte mode at `baud_rate`.
-  SerialLine(Simulator* sim, std::uint32_t baud_rate);
 
   SerialEndpoint& a() { return a_; }
   SerialEndpoint& b() { return b_; }

@@ -14,18 +14,11 @@ ShardSet::ShardSet(const Config& config)
   if (config_.lookahead < 1) {
     config_.lookahead = 1;
   }
-  const std::size_t sims =
-      config_.mode == Mode::kUnified ? 1 : shard_count_;
-  sims_.reserve(sims);
-  for (std::size_t i = 0; i < sims; ++i) {
+  sims_.reserve(shard_count_);
+  for (std::size_t k = 0; k < shard_count_; ++k) {
     sims_.push_back(std::make_unique<Simulator>());
   }
-  shards_.resize(shard_count_);
-  for (std::size_t k = 0; k < shard_count_; ++k) {
-    shards_[k] = config_.mode == Mode::kUnified ? sims_[0].get()
-                                                : sims_[k].get();
-  }
-  current_ = shards_[0];
+  current_ = sims_[0].get();
   if (config_.mode == Mode::kParallel) {
     src_pending_.reset(new std::atomic<std::uint64_t>[shard_count_]);
     for (std::size_t k = 0; k < shard_count_; ++k) {
@@ -52,7 +45,7 @@ ShardSet::~ShardSet() {
 Simulator* ShardSet::shard(std::size_t k) {
   UPR_INVARIANT(k < shard_count_, "shard index %zu out of range (%zu shards)",
                 k, shard_count_);
-  return shards_[k];
+  return sims_[k].get();
 }
 
 void ShardSet::EnsureLane(std::size_t src, std::size_t dst) {
@@ -79,17 +72,17 @@ void ShardSet::Post(std::size_t src, std::size_t dst, SimTime when,
                 "Post shard out of range (%zu -> %zu, %zu shards)", src, dst,
                 shard_count_);
   if (config_.mode != Mode::kParallel || src == dst) {
-    // Serial modes (and a self-post) schedule straight into the destination
-    // queue with the same timestamp the parallel path would use — this is
-    // what keeps the three modes trace-equivalent.
+    // The serial merge (and a self-post) schedules straight into the
+    // destination queue with the same timestamp the parallel path would use
+    // — this is what keeps the two modes trace-equivalent.
     ++serial_posted_;
-    shards_[dst]->ScheduleAt(when, std::move(fn));
+    sims_[dst]->ScheduleAt(when, std::move(fn));
     if (config_.mode == Mode::kSharded) {
       merge_heap_.push({when, dst});
     }
     return;
   }
-  Simulator* src_sim = shards_[src];
+  Simulator* src_sim = sims_[src].get();
   UPR_INVARIANT(when >= src_sim->Now() + config_.lookahead,
                 "cross-shard post at %lld violates lookahead %lld (src now "
                 "%lld)",
@@ -157,16 +150,11 @@ void ShardSet::DrainLanes() {
                 return a.seq < b.seq;
               });
     for (Handoff& h : bucket) {
-      shards_[dst]->ScheduleAt(h.when, std::move(h.fn));
+      sims_[dst]->ScheduleAt(h.when, std::move(h.fn));
       ++stats_injected_;
     }
     bucket.clear();
   }
-}
-
-std::size_t ShardSet::RunUnified(SimTime deadline) {
-  current_ = shards_[0];
-  return shards_[0]->RunUntil(deadline);
 }
 
 std::size_t ShardSet::RunShardedMerge(SimTime deadline) {
@@ -180,7 +168,7 @@ std::size_t ShardSet::RunShardedMerge(SimTime deadline) {
   }
   for (std::size_t k = 0; k < shard_count_; ++k) {
     SimTime t;
-    if (shards_[k]->NextEventTime(&t)) {
+    if (sims_[k]->NextEventTime(&t)) {
       merge_heap_.push({t, k});
     }
   }
@@ -192,23 +180,23 @@ std::size_t ShardSet::RunShardedMerge(SimTime deadline) {
     }
     merge_heap_.pop();
     SimTime real;
-    if (!shards_[k]->NextEventTime(&real)) {
+    if (!sims_[k]->NextEventTime(&real)) {
       continue;  // stale: the event ran or was cancelled
     }
     if (real != t) {
       merge_heap_.push({real, k});
       continue;
     }
-    current_ = shards_[k];
-    shards_[k]->Step();
+    current_ = sims_[k].get();
+    sims_[k]->Step();
     ++n;
     ++stats_merge_steps_;
-    if (shards_[k]->NextEventTime(&real)) {
+    if (sims_[k]->NextEventTime(&real)) {
       merge_heap_.push({real, k});
     }
   }
   for (std::size_t k = 0; k < shard_count_; ++k) {
-    shards_[k]->RunUntil(deadline);  // settle every shard clock at deadline
+    sims_[k]->RunUntil(deadline);  // settle every shard clock at deadline
   }
   return n;
 }
@@ -243,7 +231,7 @@ void ShardSet::WorkerLoop(int worker_index) {
       if (enter_hook_) {
         enter_hook_(k);
       }
-      n += shards_[k]->RunUntil(window_end);
+      n += sims_[k]->RunUntil(window_end);
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -273,7 +261,7 @@ std::size_t ShardSet::RunParallel(SimTime deadline) {
     SimTime next = 0;
     for (std::size_t k = 0; k < shard_count_; ++k) {
       SimTime t;
-      if (shards_[k]->NextEventTime(&t) && (!any || t < next)) {
+      if (sims_[k]->NextEventTime(&t) && (!any || t < next)) {
         next = t;
         any = true;
       }
@@ -294,15 +282,13 @@ std::size_t ShardSet::RunParallel(SimTime deadline) {
   }
   DrainLanes();
   for (std::size_t k = 0; k < shard_count_; ++k) {
-    shards_[k]->RunUntil(deadline);
+    sims_[k]->RunUntil(deadline);
   }
   return total;
 }
 
 std::size_t ShardSet::RunUntil(SimTime deadline) {
   switch (config_.mode) {
-    case Mode::kUnified:
-      return RunUnified(deadline);
     case Mode::kSharded:
       return RunShardedMerge(deadline);
     case Mode::kParallel:

@@ -1,4 +1,4 @@
-// upr — sharded event execution + conservative parallel DES (ISSUE 8).
+// upr — sharded event execution + conservative parallel DES.
 //
 // The city-scale topology decomposes, as the NS-2 multi-channel model does,
 // into radio channels that only interact through gateways and point-to-point
@@ -6,14 +6,12 @@
 // channel's state directly, and every cross-channel path crosses a link with
 // a real, bounded latency. A ShardSet exploits that: one Simulator (and so
 // one event heap) per shard, with cross-shard events carried as
-// explicit handoffs instead of shared-queue inserts. Three execution modes:
+// explicit handoffs instead of shared-queue inserts. Two execution modes:
 //
-//   * kUnified — every shard aliases ONE Simulator. This is exactly the
-//     classic single-queue execution, byte-for-byte: the tracediff gate runs
-//     the city topology in this mode as the pre-shard reference.
-//   * kSharded — one Simulator per shard, executed on one thread as a
-//     globally time-ordered merge (a lazy min-heap over shard clocks; equal
-//     timestamps break ties by shard index). The default for `--topo`.
+//   * kSharded — executed on one thread as a globally time-ordered merge (a
+//     lazy min-heap over shard clocks; equal timestamps break ties by shard
+//     index). The default for `--topo`, and the reference: its city output
+//     is pinned by the tests/golden/city_4x6_seed7 capture and summary.
 //   * kParallel — conservative parallel DES: the coordinator computes a
 //     window [next, next + lookahead), worker threads run their shards'
 //     events inside the window concurrently, and handoffs — which the
@@ -59,15 +57,15 @@ struct ShardStats {
 
 class ShardSet {
  public:
-  enum class Mode { kUnified, kSharded, kParallel };
+  enum class Mode { kSharded, kParallel };
 
   struct Config {
     std::size_t shards = 1;
     Mode mode = Mode::kSharded;
     // Worker threads (kParallel only; clamped to [1, shards]).
     int threads = 1;
-    // Conservative lookahead (ns). Post() rejects handoffs closer than this.
-    // Ignored in kUnified, where every "handoff" is a same-queue insert.
+    // Conservative lookahead (ns). kParallel's Post() rejects handoffs
+    // closer than this.
     SimTime lookahead = 1;
     // Per-(src,dst) SPSC ring capacity in entries.
     std::size_t ring_capacity = 256;
@@ -83,28 +81,28 @@ class ShardSet {
   SimTime lookahead() const { return config_.lookahead; }
   int threads() const { return config_.threads; }
 
-  // The simulator backing shard `k`. In kUnified mode every k returns the
-  // same Simulator; construction order is otherwise identical across modes,
-  // which is what keeps seeded component construction byte-stable.
+  // The simulator backing shard `k`. Construction order is identical
+  // across modes, which is what keeps seeded component construction
+  // byte-stable.
   Simulator* shard(std::size_t k);
 
-  // The simulator whose event is currently executing (merge cursor in
-  // kSharded, the single sim in kUnified). Valid on the executing thread
-  // only; the tracer's clock override points here so ring/pcap timestamps
-  // come from the shard that actually recorded the crossing. Parallel-mode
-  // workers never touch it — they install per-shard tracers instead.
+  // The simulator whose event is currently executing (the merge cursor in
+  // kSharded). Valid on the executing thread only; the tracer's clock
+  // override points here so ring/pcap timestamps come from the shard that
+  // actually recorded the crossing. Parallel-mode workers never touch it —
+  // they install per-shard tracers instead.
   Simulator* current_sim() const { return current_; }
   SimTime CurrentTime() const { return current_->Now(); }
 
   // Registers the (src,dst) handoff lane. Topology build time only (before
   // workers start); a kParallel Post without a registered lane is an
-  // invariant failure. No-op in the serial modes and for src == dst.
+  // invariant failure. No-op in kSharded and for src == dst.
   void EnsureLane(std::size_t src, std::size_t dst);
 
   // Schedules `fn` on shard `dst` at absolute sim time `when`. Must be
   // called from an event executing on shard `src`. In kParallel mode `when`
   // must be at least the source clock plus the lookahead (invariant-checked);
-  // the serial modes schedule directly and keep the same timestamps.
+  // kSharded schedules directly and keeps the same timestamps.
   void Post(std::size_t src, std::size_t dst, SimTime when,
             std::function<void()> fn);
 
@@ -125,8 +123,7 @@ class ShardSet {
   // Aggregated handoff/window counters (call when quiescent).
   ShardStats stats() const;
 
-  // Aggregate counters across distinct simulators (kUnified counts its one
-  // simulator once).
+  // Aggregate counters across the shards' simulators.
   std::uint64_t TotalEventsScheduled() const;
   std::size_t TotalEventsExecuted() const;
   std::uint64_t TotalPopCompares() const;
@@ -157,7 +154,6 @@ class ShardSet {
            static_cast<std::uint64_t>(dst);
   }
 
-  std::size_t RunUnified(SimTime deadline);
   std::size_t RunShardedMerge(SimTime deadline);
   std::size_t RunParallel(SimTime deadline);
 
@@ -173,8 +169,7 @@ class ShardSet {
 
   Config config_;
   std::size_t shard_count_;
-  std::vector<std::unique_ptr<Simulator>> sims_;
-  std::vector<Simulator*> shards_;  // shard index -> sim (aliased in kUnified)
+  std::vector<std::unique_ptr<Simulator>> sims_;  // one per shard
   std::function<void(std::size_t)> enter_hook_;
   Simulator* current_ = nullptr;
 

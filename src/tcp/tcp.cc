@@ -804,8 +804,7 @@ void Tcp::HandleIcmpError(const Ipv4Header& outer, const IcmpMessage& msg) {
   if (msg.body.size() < 4) {
     return;
   }
-  Bytes inner(msg.body.begin() + 4, msg.body.end());
-  auto orig = Ipv4Header::Decode(inner);
+  auto orig = Ipv4Header::DecodeView(ByteView(msg.body).subspan(4));
   if (!orig || orig->header.protocol != kIpProtoTcp || orig->payload.size() < 4) {
     return;
   }

@@ -291,24 +291,26 @@ void CommandModeTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
   if (Crc16Ccitt(body) != fcs) {
     return;
   }
-  auto frame = Ax25Frame::Decode(body);
-  if (!frame) {
+  auto decoded = Ax25Frame::DecodeView(body);
+  if (!decoded) {
     return;
   }
-  HeardEntry& heard = heard_[frame->source];
+  Ax25Frame& frame = decoded->frame;
+  HeardEntry& heard = heard_[frame.source];
   ++heard.frames;
   heard.last_heard = sim_->Now();
-  if (!frame->DigipeatingComplete()) {
+  if (!frame.DigipeatingComplete()) {
     return;
   }
-  if (frame->destination == config_.mycall) {
-    link_->HandleDecoded(*frame, body);
+  if (frame.destination == config_.mycall) {
+    frame.info.assign(decoded->info.begin(), decoded->info.end());
+    link_->HandleDecoded(frame, body);
     return;
   }
-  if (config_.monitor && frame->type == Ax25FrameType::kUi) {
+  if (config_.monitor && frame.type == Ax25FrameType::kUi) {
     ++monitored_;
-    std::string text(frame->info.begin(), frame->info.end());
-    ToTerminal(frame->source.ToString() + ">" + frame->destination.ToString() + ": " +
+    std::string text(decoded->info.begin(), decoded->info.end());
+    ToTerminal(frame.source.ToString() + ">" + frame.destination.ToString() + ": " +
                text + "\r\n");
   }
 }

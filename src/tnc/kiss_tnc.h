@@ -75,7 +75,8 @@ class KissTnc {
 
  private:
   void OnSerialChunk(const std::uint8_t* data, std::size_t len);
-  void OnKissFrame(const KissFrame& f);
+  // `payload` aliases the decoder's frame buffer (valid during the call).
+  void OnKissFrame(KissCommand command, ByteView payload);
   void NoteParamUpdate();
   void OnRadioReceive(const Bytes& wire, bool corrupted);
   bool PassesFilter(const Bytes& ax25_body) const;

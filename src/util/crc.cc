@@ -127,8 +127,11 @@ std::uint32_t ChecksumPartial(const std::uint8_t* data, std::size_t len,
     sum = AddCarry64(sum, v);
     p += 2;
   }
-  // Fold 64 -> 16 with end-around carries.
+  // Fold 64 -> 16 with end-around carries. Three folds can still leave
+  // 0x10000 (e.g. 0x1'0000FFFF -> 0x1FFFF -> 0x10000), so the fourth is
+  // needed before the narrowing cast.
   std::uint64_t folded = (sum & 0xFFFFFFFF) + (sum >> 32);
+  folded = (folded & 0xFFFF) + (folded >> 16);
   folded = (folded & 0xFFFF) + (folded >> 16);
   folded = (folded & 0xFFFF) + (folded >> 16);
   auto s16 = static_cast<std::uint16_t>(folded);

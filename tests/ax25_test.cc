@@ -93,29 +93,31 @@ class Ax25FrameTest : public ::testing::Test {
 TEST_F(Ax25FrameTest, UiRoundTrip) {
   Bytes info = BytesFromString("hello radio");
   Ax25Frame f = Ax25Frame::MakeUi(dst_, src_, kPidIp, info);
-  auto d = Ax25Frame::Decode(f.Encode());
+  Bytes wire = f.Encode();
+  auto d = Ax25Frame::DecodeView(wire);
   ASSERT_TRUE(d);
-  EXPECT_EQ(d->destination, dst_);
-  EXPECT_EQ(d->source, src_);
-  EXPECT_EQ(d->type, Ax25FrameType::kUi);
-  EXPECT_EQ(d->pid, kPidIp);
-  EXPECT_EQ(d->info, info);
-  EXPECT_TRUE(d->command);
-  EXPECT_TRUE(d->digipeaters.empty());
+  EXPECT_EQ(d->frame.destination, dst_);
+  EXPECT_EQ(d->frame.source, src_);
+  EXPECT_EQ(d->frame.type, Ax25FrameType::kUi);
+  EXPECT_EQ(d->frame.pid, kPidIp);
+  EXPECT_EQ(Bytes(d->info.begin(), d->info.end()), info);
+  EXPECT_TRUE(d->frame.command);
+  EXPECT_TRUE(d->frame.digipeaters.empty());
 }
 
 TEST_F(Ax25FrameTest, DigipeaterListRoundTrip) {
   std::vector<Ax25Digipeater> digis{{Ax25Address("WB7RA", 0), true},
                                     {Ax25Address("WB7RB", 2), false}};
   Ax25Frame f = Ax25Frame::MakeUi(dst_, src_, kPidNoLayer3, Bytes{1, 2}, digis);
-  auto d = Ax25Frame::Decode(f.Encode());
+  Bytes wire = f.Encode();
+  auto d = Ax25Frame::DecodeView(wire);
   ASSERT_TRUE(d);
-  ASSERT_EQ(d->digipeaters.size(), 2u);
-  EXPECT_EQ(d->digipeaters[0].address, Ax25Address("WB7RA", 0));
-  EXPECT_TRUE(d->digipeaters[0].repeated);
-  EXPECT_FALSE(d->digipeaters[1].repeated);
-  EXPECT_FALSE(d->DigipeatingComplete());
-  EXPECT_EQ(d->NextDigipeater()->address, Ax25Address("WB7RB", 2));
+  ASSERT_EQ(d->frame.digipeaters.size(), 2u);
+  EXPECT_EQ(d->frame.digipeaters[0].address, Ax25Address("WB7RA", 0));
+  EXPECT_TRUE(d->frame.digipeaters[0].repeated);
+  EXPECT_FALSE(d->frame.digipeaters[1].repeated);
+  EXPECT_FALSE(d->frame.DigipeatingComplete());
+  EXPECT_EQ(d->frame.NextDigipeater()->address, Ax25Address("WB7RB", 2));
 }
 
 TEST_F(Ax25FrameTest, EightDigipeatersMax) {
@@ -125,9 +127,10 @@ TEST_F(Ax25FrameTest, EightDigipeatersMax) {
                      false});
   }
   Ax25Frame f = Ax25Frame::MakeUi(dst_, src_, kPidNoLayer3, Bytes{}, digis);
-  auto d = Ax25Frame::Decode(f.Encode());
+  Bytes wire = f.Encode();
+  auto d = Ax25Frame::DecodeView(wire);
   ASSERT_TRUE(d);
-  EXPECT_EQ(d->digipeaters.size(), 8u);
+  EXPECT_EQ(d->frame.digipeaters.size(), 8u);
 }
 
 TEST_F(Ax25FrameTest, AllSupervisoryAndUnnumberedTypesRoundTrip) {
@@ -140,13 +143,14 @@ TEST_F(Ax25FrameTest, AllSupervisoryAndUnnumberedTypesRoundTrip) {
     f.type = type;
     f.nr = 5;
     f.poll_final = true;
-    auto d = Ax25Frame::Decode(f.Encode());
+    Bytes wire = f.Encode();
+    auto d = Ax25Frame::DecodeView(wire);
     ASSERT_TRUE(d) << Ax25FrameTypeName(type);
-    EXPECT_EQ(d->type, type);
-    EXPECT_TRUE(d->poll_final);
+    EXPECT_EQ(d->frame.type, type);
+    EXPECT_TRUE(d->frame.poll_final);
     if (type == Ax25FrameType::kRr || type == Ax25FrameType::kRnr ||
         type == Ax25FrameType::kRej) {
-      EXPECT_EQ(d->nr, 5);
+      EXPECT_EQ(d->frame.nr, 5);
     }
   }
 }
@@ -162,12 +166,13 @@ TEST_F(Ax25FrameTest, IFrameSequenceNumbers) {
       f.nr = nr;
       f.pid = kPidNoLayer3;
       f.info = Bytes{0xAB};
-      auto d = Ax25Frame::Decode(f.Encode());
+      Bytes wire = f.Encode();
+      auto d = Ax25Frame::DecodeView(wire);
       ASSERT_TRUE(d);
-      EXPECT_EQ(d->type, Ax25FrameType::kI);
-      EXPECT_EQ(d->ns, ns);
-      EXPECT_EQ(d->nr, nr);
-      EXPECT_EQ(d->info, Bytes{0xAB});
+      EXPECT_EQ(d->frame.type, Ax25FrameType::kI);
+      EXPECT_EQ(d->frame.ns, ns);
+      EXPECT_EQ(d->frame.nr, nr);
+      EXPECT_EQ(Bytes(d->info.begin(), d->info.end()), Bytes{0xAB});
     }
   }
 }
@@ -179,9 +184,10 @@ TEST_F(Ax25FrameTest, CommandResponseBitsRoundTrip) {
     f.source = src_;
     f.command = command;
     f.type = Ax25FrameType::kRr;
-    auto d = Ax25Frame::Decode(f.Encode());
+    Bytes wire = f.Encode();
+    auto d = Ax25Frame::DecodeView(wire);
     ASSERT_TRUE(d);
-    EXPECT_EQ(d->command, command);
+    EXPECT_EQ(d->frame.command, command);
   }
 }
 
@@ -190,7 +196,7 @@ TEST_F(Ax25FrameTest, DecodeRejectsTruncated) {
   Bytes wire = f.Encode();
   for (std::size_t len = 0; len < 15; ++len) {
     Bytes cut(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_FALSE(Ax25Frame::Decode(cut)) << "len=" << len;
+    EXPECT_FALSE(Ax25Frame::DecodeView(cut)) << "len=" << len;
   }
 }
 
@@ -200,7 +206,7 @@ TEST_F(Ax25FrameTest, DecodeRejectsUnterminatedAddressList) {
   Bytes wire = f.Encode();
   wire[13] &= ~0x01;  // clear the extension bit on the source address
   wire.resize(14);
-  EXPECT_FALSE(Ax25Frame::Decode(wire));
+  EXPECT_FALSE(Ax25Frame::DecodeView(wire));
 }
 
 TEST_F(Ax25FrameTest, ToStringIsInformative) {
@@ -341,10 +347,10 @@ TEST_F(Ax25FrameTest, XidFrameUsesControl0xAF) {
   for (std::size_t i = 0; i < sizeof(kGoldenXidInfo); ++i) {
     EXPECT_EQ(wire[15 + i], kGoldenXidInfo[i]) << "offset " << i;
   }
-  auto back = Ax25Frame::Decode(wire);
+  auto back = Ax25Frame::DecodeView(wire);
   ASSERT_TRUE(back);
-  EXPECT_EQ(back->type, Ax25FrameType::kXid);
-  EXPECT_TRUE(back->command);
+  EXPECT_EQ(back->frame.type, Ax25FrameType::kXid);
+  EXPECT_TRUE(back->frame.command);
   auto params = Ax25XidParams::Decode(back->info);
   ASSERT_TRUE(params);
   EXPECT_EQ(*params, offer);
@@ -359,10 +365,10 @@ TEST_F(Ax25FrameTest, SabmeControlByte) {
   f.type = Ax25FrameType::kSabme;
   Bytes wire = f.Encode();
   EXPECT_EQ(wire[14], 0x6F | 0x10);  // SABME with P set
-  auto back = Ax25Frame::Decode(wire);
+  auto back = Ax25Frame::DecodeView(wire);
   ASSERT_TRUE(back);
-  EXPECT_EQ(back->type, Ax25FrameType::kSabme);
-  EXPECT_TRUE(back->poll_final);
+  EXPECT_EQ(back->frame.type, Ax25FrameType::kSabme);
+  EXPECT_TRUE(back->frame.poll_final);
 }
 
 TEST_F(Ax25FrameTest, Mod128IFrameTwoByteControl) {
@@ -381,14 +387,14 @@ TEST_F(Ax25FrameTest, Mod128IFrameTwoByteControl) {
   // Extended I control: byte 0 = N(S)<<1 (bit 0 clear), byte 1 = N(R)<<1|P.
   EXPECT_EQ(wire[14], static_cast<std::uint8_t>(93 << 1));
   EXPECT_EQ(wire[15], static_cast<std::uint8_t>((117 << 1) | 1));
-  auto back = Ax25Frame::Decode(wire, Ax25Modulus::kMod128);
+  auto back = Ax25Frame::DecodeView(wire, Ax25Modulus::kMod128);
   ASSERT_TRUE(back);
-  EXPECT_EQ(back->type, Ax25FrameType::kI);
-  EXPECT_EQ(back->ns, 93);
-  EXPECT_EQ(back->nr, 117);
-  EXPECT_TRUE(back->poll_final);
-  EXPECT_EQ(back->pid, kPidIp);
-  EXPECT_EQ(back->info, BytesFromString("hello"));
+  EXPECT_EQ(back->frame.type, Ax25FrameType::kI);
+  EXPECT_EQ(back->frame.ns, 93);
+  EXPECT_EQ(back->frame.nr, 117);
+  EXPECT_TRUE(back->frame.poll_final);
+  EXPECT_EQ(back->frame.pid, kPidIp);
+  EXPECT_EQ(Bytes(back->info.begin(), back->info.end()), BytesFromString("hello"));
 }
 
 TEST_F(Ax25FrameTest, Mod128SupervisoryRoundTrip) {
@@ -412,11 +418,11 @@ TEST_F(Ax25FrameTest, Mod128SupervisoryRoundTrip) {
     Bytes wire = f.Encode();
     EXPECT_EQ(wire[14], c.code);
     EXPECT_EQ(wire[15], static_cast<std::uint8_t>(100 << 1));
-    auto back = Ax25Frame::Decode(wire, Ax25Modulus::kMod128);
+    auto back = Ax25Frame::DecodeView(wire, Ax25Modulus::kMod128);
     ASSERT_TRUE(back) << Ax25FrameTypeName(c.type);
-    EXPECT_EQ(back->type, c.type);
-    EXPECT_EQ(back->nr, 100);
-    EXPECT_FALSE(back->poll_final);
+    EXPECT_EQ(back->frame.type, c.type);
+    EXPECT_EQ(back->frame.nr, 100);
+    EXPECT_FALSE(back->frame.poll_final);
   }
 }
 
@@ -430,10 +436,10 @@ TEST_F(Ax25FrameTest, Mod128SrejMod8RoundTrip) {
   f.nr = 5;
   Bytes wire = f.Encode();
   EXPECT_EQ(wire[14], static_cast<std::uint8_t>((5 << 5) | 0x0D));
-  auto back = Ax25Frame::Decode(wire);
+  auto back = Ax25Frame::DecodeView(wire);
   ASSERT_TRUE(back);
-  EXPECT_EQ(back->type, Ax25FrameType::kSrej);
-  EXPECT_EQ(back->nr, 5);
+  EXPECT_EQ(back->frame.type, Ax25FrameType::kSrej);
+  EXPECT_EQ(back->frame.nr, 5);
 }
 
 TEST_F(Ax25FrameTest, Mod128DecodeRejectsTruncatedSecondControlByte) {
@@ -446,7 +452,7 @@ TEST_F(Ax25FrameTest, Mod128DecodeRejectsTruncatedSecondControlByte) {
   f.nr = 9;
   Bytes wire = f.Encode();
   wire.resize(15);  // keep only the first control byte
-  EXPECT_FALSE(Ax25Frame::Decode(wire, Ax25Modulus::kMod128));
+  EXPECT_FALSE(Ax25Frame::DecodeView(wire, Ax25Modulus::kMod128));
   // U frames stay one control byte even in mod 128.
   Ax25Frame ua;
   ua.destination = dst_;
@@ -454,7 +460,7 @@ TEST_F(Ax25FrameTest, Mod128DecodeRejectsTruncatedSecondControlByte) {
   ua.command = false;
   ua.type = Ax25FrameType::kUa;
   Bytes ua_wire = ua.Encode();
-  EXPECT_TRUE(Ax25Frame::Decode(ua_wire, Ax25Modulus::kMod128));
+  EXPECT_TRUE(Ax25Frame::DecodeView(ua_wire, Ax25Modulus::kMod128));
 }
 
 }  // namespace

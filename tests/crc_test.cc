@@ -110,6 +110,12 @@ TEST(ChecksumTest, AllZeroAndAllOnesEdgeCases) {
   EXPECT_EQ(InternetChecksum(ones.data(), ones.size()),
             ChecksumFinish(ChecksumPartialReference(ones.data(), ones.size())));
   EXPECT_EQ(InternetChecksum(nullptr, 0), 0xFFFF);
+  // One 8-byte word whose 64->16 fold leaves a carry after three folds.
+  const std::uint8_t late_carry[] = {0x00, 0x00, 0x01, 0x00,
+                                     0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(InternetChecksum(late_carry, sizeof late_carry),
+            ChecksumFinish(ChecksumPartialReference(late_carry, sizeof late_carry)));
+  EXPECT_EQ(InternetChecksum(late_carry, sizeof late_carry), 0xFEFF);
 }
 
 // --- Odd-offset chaining (the PacketBuf segment-boundary audit) ------------

@@ -115,8 +115,7 @@ TEST_F(IcmpLanTest, ErrorBodyCarriesOriginalHeader) {
   a_.icmp().set_error_handler([&](const Ipv4Header&, const IcmpMessage& msg) {
     // Skip 4 unused bytes, then the embedded original IP header.
     ASSERT_GE(msg.body.size(), 24u);
-    Bytes inner(msg.body.begin() + 4, msg.body.end());
-    auto parsed = Ipv4Header::Decode(inner);
+    auto parsed = Ipv4Header::DecodeView(ByteView(msg.body).subspan(4));
     ASSERT_TRUE(parsed);
     EXPECT_EQ(parsed->header.protocol, 123);
     EXPECT_EQ(parsed->header.destination, IpV4Address(10, 0, 0, 2));

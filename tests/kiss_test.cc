@@ -9,7 +9,10 @@ namespace {
 
 class KissRoundTrip : public ::testing::Test {
  protected:
-  KissRoundTrip() : decoder_([this](const KissFrame& f) { frames_.push_back(f); }) {}
+  KissRoundTrip()
+      : decoder_([this](std::uint8_t port, KissCommand command, ByteView p) {
+          frames_.push_back({port, command, Bytes(p.begin(), p.end())});
+        }) {}
 
   std::vector<KissFrame> frames_;
   KissDecoder decoder_;
@@ -166,7 +169,9 @@ TEST_F(KissRoundTrip, InvalidEscapeCountsBadEscape) {
 }
 
 TEST_F(KissRoundTrip, OversizeFrameDropped) {
-  KissDecoder small([this](const KissFrame& f) { frames_.push_back(f); }, 16);
+  KissDecoder small([this](std::uint8_t port, KissCommand command, ByteView p) {
+    frames_.push_back({port, command, Bytes(p.begin(), p.end())});
+  }, 16);
   Bytes big(100, 0xAA);
   small.Feed(KissEncodeData(big));
   EXPECT_TRUE(frames_.empty());
@@ -198,8 +203,12 @@ TEST_F(KissRoundTrip, EmptyPayloadDataFrame) {
 // `chunk` — and checks frames and error counters agree exactly.
 void ExpectChunkedEquivalent(const Bytes& wire, std::size_t chunk) {
   std::vector<KissFrame> by_byte, by_chunk;
-  KissDecoder d1([&](const KissFrame& f) { by_byte.push_back(f); });
-  KissDecoder d2([&](const KissFrame& f) { by_chunk.push_back(f); });
+  KissDecoder d1([&](std::uint8_t port, KissCommand command, ByteView p) {
+    by_byte.push_back({port, command, Bytes(p.begin(), p.end())});
+  });
+  KissDecoder d2([&](std::uint8_t port, KissCommand command, ByteView p) {
+    by_chunk.push_back({port, command, Bytes(p.begin(), p.end())});
+  });
   for (std::uint8_t b : wire) {
     d1.Feed(b);
   }
@@ -249,7 +258,9 @@ TEST(KissChunkedFeed, InvalidEscapeAbortsAndResyncsInChunks) {
   }
   // And the chunked decoder really recovers the trailing frame.
   std::vector<KissFrame> frames;
-  KissDecoder d([&](const KissFrame& f) { frames.push_back(f); });
+  KissDecoder d([&](std::uint8_t port, KissCommand command, ByteView p) {
+    frames.push_back({port, command, Bytes(p.begin(), p.end())});
+  });
   d.Feed(wire.data(), wire.size());
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].payload, Bytes{0x42});
@@ -262,8 +273,12 @@ TEST(KissChunkedFeed, OversizeDiscardAndResyncMatchesBytewise) {
   Bytes good = KissEncodeData(Bytes{7, 8});
   wire.insert(wire.end(), good.begin(), good.end());
   std::vector<KissFrame> by_byte, by_chunk;
-  KissDecoder d1([&](const KissFrame& f) { by_byte.push_back(f); }, 16);
-  KissDecoder d2([&](const KissFrame& f) { by_chunk.push_back(f); }, 16);
+  KissDecoder d1([&](std::uint8_t port, KissCommand command, ByteView p) {
+    by_byte.push_back({port, command, Bytes(p.begin(), p.end())});
+  }, 16);
+  KissDecoder d2([&](std::uint8_t port, KissCommand command, ByteView p) {
+    by_chunk.push_back({port, command, Bytes(p.begin(), p.end())});
+  }, 16);
   for (std::uint8_t b : wire) {
     d1.Feed(b);
   }
@@ -282,7 +297,9 @@ TEST(KissChunkedFeed, FrameExactlyAtMaxSizeSurvivesChunked) {
   Bytes over_cap(16, 0x22); // 1 + 16 = 17 > cap
   for (bool chunked : {false, true}) {
     std::vector<KissFrame> frames;
-    KissDecoder d([&](const KissFrame& f) { frames.push_back(f); }, 16);
+    KissDecoder d([&](std::uint8_t port, KissCommand command, ByteView p) {
+      frames.push_back({port, command, Bytes(p.begin(), p.end())});
+    }, 16);
     Bytes wire = KissEncodeData(at_cap);
     Bytes wire2 = KissEncodeData(over_cap);
     wire.insert(wire.end(), wire2.begin(), wire2.end());

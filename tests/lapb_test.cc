@@ -360,9 +360,10 @@ class LapbDialectPair : public ::testing::Test {
     }
     Bytes wire = f.Encode();
     sim_.Schedule(Milliseconds(500), [to, wire = std::move(wire)] {
-      auto decoded = Ax25Frame::Decode(wire, Ax25Modulus::kMod8);
+      auto decoded = Ax25Frame::DecodeView(wire, Ax25Modulus::kMod8);
       ASSERT_TRUE(decoded.has_value());
-      to->HandleDecoded(*decoded, wire);
+      decoded->frame.info.assign(decoded->info.begin(), decoded->info.end());
+      to->HandleDecoded(decoded->frame, wire);
     });
   }
 

@@ -53,7 +53,7 @@ TEST(Ipv4HeaderTest, EncodeDecodeRoundTrip) {
   h.destination = IpV4Address(128, 95, 1, 4);
   Bytes payload = BytesFromString("data data data");
   Bytes wire = h.Encode(payload);
-  auto parsed = Ipv4Header::Decode(wire);
+  auto parsed = Ipv4Header::DecodeView(wire);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->header.tos, 0x10);
   EXPECT_EQ(parsed->header.identification, 0x1234);
@@ -61,7 +61,7 @@ TEST(Ipv4HeaderTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(parsed->header.protocol, kIpProtoTcp);
   EXPECT_EQ(parsed->header.source, h.source);
   EXPECT_EQ(parsed->header.destination, h.destination);
-  EXPECT_EQ(parsed->payload, payload);
+  EXPECT_EQ(Bytes(parsed->payload.begin(), parsed->payload.end()), payload);
 }
 
 TEST(Ipv4HeaderTest, ChecksumValidation) {
@@ -70,7 +70,7 @@ TEST(Ipv4HeaderTest, ChecksumValidation) {
   h.destination = IpV4Address(5, 6, 7, 8);
   Bytes wire = h.Encode(Bytes{});
   wire[8] ^= 0x01;  // flip a TTL bit
-  EXPECT_FALSE(Ipv4Header::Decode(wire));
+  EXPECT_FALSE(Ipv4Header::DecodeView(wire));
 }
 
 TEST(Ipv4HeaderTest, FragmentFieldsRoundTrip) {
@@ -80,7 +80,7 @@ TEST(Ipv4HeaderTest, FragmentFieldsRoundTrip) {
   h.more_fragments = true;
   h.fragment_offset = 185;
   Bytes wire = h.Encode(Bytes(8, 1));
-  auto p = Ipv4Header::Decode(wire);
+  auto p = Ipv4Header::DecodeView(wire);
   ASSERT_TRUE(p);
   EXPECT_TRUE(p->header.more_fragments);
   EXPECT_FALSE(p->header.dont_fragment);
@@ -88,7 +88,8 @@ TEST(Ipv4HeaderTest, FragmentFieldsRoundTrip) {
   h.dont_fragment = true;
   h.more_fragments = false;
   h.fragment_offset = 0;
-  p = Ipv4Header::Decode(h.Encode(Bytes{}));
+  wire = h.Encode(Bytes{});
+  p = Ipv4Header::DecodeView(wire);
   ASSERT_TRUE(p);
   EXPECT_TRUE(p->header.dont_fragment);
 }
@@ -101,13 +102,14 @@ TEST(Ipv4HeaderTest, ReservedFlagBitPreserved) {
   h.more_fragments = true;
   h.fragment_offset = 5;
   Bytes wire = h.Encode(Bytes(4, 0xAA));
-  auto p = Ipv4Header::Decode(wire);
+  auto p = Ipv4Header::DecodeView(wire);
   ASSERT_TRUE(p);
   EXPECT_TRUE(p->header.reserved_flag);
   // Re-encode is byte-identical: the bit is not silently cleared.
-  EXPECT_EQ(p->header.Encode(p->payload), wire);
+  EXPECT_EQ(p->header.Encode(Bytes(p->payload.begin(), p->payload.end())), wire);
   h.reserved_flag = false;
-  p = Ipv4Header::Decode(h.Encode(Bytes{}));
+  wire = h.Encode(Bytes{});
+  p = Ipv4Header::DecodeView(wire);
   ASSERT_TRUE(p);
   EXPECT_FALSE(p->header.reserved_flag);
 }
@@ -118,10 +120,10 @@ TEST(Ipv4HeaderTest, OptionsPaddedAndCarried) {
   h.destination = IpV4Address(5, 6, 7, 8);
   h.options = Bytes{0x07, 0x03, 0x04};  // odd length: padded to 4
   Bytes wire = h.Encode(BytesFromString("xy"));
-  auto p = Ipv4Header::Decode(wire);
+  auto p = Ipv4Header::DecodeView(wire);
   ASSERT_TRUE(p);
   EXPECT_EQ(p->header.options.size(), 4u);
-  EXPECT_EQ(p->payload, BytesFromString("xy"));
+  EXPECT_EQ(Bytes(p->payload.begin(), p->payload.end()), BytesFromString("xy"));
 }
 
 TEST(Ipv4HeaderTest, RejectsBadVersionAndLengths) {
@@ -131,19 +133,19 @@ TEST(Ipv4HeaderTest, RejectsBadVersionAndLengths) {
   Bytes wire = h.Encode(Bytes{});
   Bytes bad = wire;
   bad[0] = 0x60 | (bad[0] & 0x0F);  // version 6 — checksum also breaks, fix it:
-  EXPECT_FALSE(Ipv4Header::Decode(bad));
+  EXPECT_FALSE(Ipv4Header::DecodeView(bad));
   Bytes tiny(wire.begin(), wire.begin() + 10);
-  EXPECT_FALSE(Ipv4Header::Decode(tiny));
+  EXPECT_FALSE(Ipv4Header::DecodeView(tiny));
 }
 
 class FakeInterface : public NetInterface {
  public:
   FakeInterface(std::string name, std::size_t mtu) : NetInterface(std::move(name), mtu) {}
-  void Output(const Bytes& dgram, IpV4Address next_hop) override {
-    sent.push_back({dgram, next_hop});
+  void Output(PacketBuf&& dgram, IpV4Address next_hop) override {
+    sent.push_back({dgram.Release(), next_hop});
   }
   // Expose for tests.
-  void Inject(const Bytes& dgram) { DeliverToStack(dgram); }
+  void Inject(Bytes dgram) { DeliverToStack(PacketBuf::Adopt(std::move(dgram))); }
   struct Out {
     Bytes dgram;
     IpV4Address next_hop;
@@ -208,10 +210,10 @@ TEST_F(NetStackTest, SendsViaDirectRoute) {
   EXPECT_TRUE(stack_.SendDatagram(IpV4Address(10, 0, 0, 2), 99, BytesFromString("hi")));
   ASSERT_EQ(iface_->sent.size(), 1u);
   EXPECT_EQ(iface_->sent[0].next_hop, IpV4Address(10, 0, 0, 2));
-  auto p = Ipv4Header::Decode(iface_->sent[0].dgram);
+  auto p = Ipv4Header::DecodeView(iface_->sent[0].dgram);
   ASSERT_TRUE(p);
   EXPECT_EQ(p->header.source, IpV4Address(10, 0, 0, 1));
-  EXPECT_EQ(p->payload, BytesFromString("hi"));
+  EXPECT_EQ(Bytes(p->payload.begin(), p->payload.end()), BytesFromString("hi"));
 }
 
 TEST_F(NetStackTest, NoRouteFails) {
@@ -249,7 +251,7 @@ TEST_F(NetStackTest, InputQueueBounded) {
   h.destination = IpV4Address(10, 0, 0, 1);
   Bytes dgram = h.Encode(Bytes{});
   for (int i = 0; i < 10; ++i) {
-    stack_.EnqueueFromDriver(dgram, iface_);
+    stack_.EnqueueFromDriver(PacketBuf::FromBytes(dgram), iface_);
   }
   EXPECT_EQ(stack_.ip_stats().input_drops, 7u);
   sim_.RunAll();
@@ -269,7 +271,7 @@ TEST_F(NetStackTest, ForwardingDecrementsTtl) {
   iface_->Inject(h.Encode(BytesFromString("fwd")));
   sim_.RunAll();
   ASSERT_EQ(out->sent.size(), 1u);
-  auto p = Ipv4Header::Decode(out->sent[0].dgram);
+  auto p = Ipv4Header::DecodeView(out->sent[0].dgram);
   ASSERT_TRUE(p);
   EXPECT_EQ(p->header.ttl, 4);
   EXPECT_EQ(stack_.ip_stats().forwarded, 1u);
@@ -300,7 +302,7 @@ TEST_F(NetStackTest, TtlExpiryGeneratesIcmp) {
   EXPECT_EQ(stack_.ip_stats().ttl_expired, 1u);
   // The ICMP error went back out the first interface toward the source.
   ASSERT_GE(iface_->sent.size(), 1u);
-  auto p = Ipv4Header::Decode(iface_->sent.back().dgram);
+  auto p = Ipv4Header::DecodeView(iface_->sent.back().dgram);
   ASSERT_TRUE(p);
   EXPECT_EQ(p->header.protocol, kIpProtoIcmp);
 }
@@ -333,7 +335,7 @@ TEST_F(NetStackTest, FragmentsWhenExceedingMtu) {
   ASSERT_EQ(out->sent.size(), 3u);  // 600 bytes over 236-byte chunks
   std::size_t total = 0;
   for (auto& s : out->sent) {
-    auto p = Ipv4Header::Decode(s.dgram);
+    auto p = Ipv4Header::DecodeView(s.dgram);
     ASSERT_TRUE(p);
     EXPECT_LE(s.dgram.size(), 256u);
     total += p->payload.size();

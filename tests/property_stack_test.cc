@@ -19,9 +19,9 @@ namespace {
 class PipeInterface : public NetInterface {
  public:
   PipeInterface(std::string name, std::size_t mtu) : NetInterface(std::move(name), mtu) {}
-  void Output(const Bytes& dgram, IpV4Address next_hop) override {
+  void Output(PacketBuf&& dgram, IpV4Address next_hop) override {
     if (peer_ != nullptr) {
-      peer_->DeliverToStack(dgram);
+      peer_->DeliverToStack(std::move(dgram));
     }
   }
   void set_peer(PipeInterface* peer) { peer_ = peer; }

@@ -401,8 +401,9 @@ TEST_F(DigipeaterTest, RepeatsFrameAddressedThroughIt) {
       return;
     }
     Bytes body(wire.begin(), wire.end() - 2);
-    if (auto d = Ax25Frame::Decode(body)) {
-      dst_heard.push_back(*d);
+    if (auto d = Ax25Frame::DecodeView(body)) {
+      d->frame.info.assign(d->info.begin(), d->info.end());
+      dst_heard.push_back(std::move(d->frame));
     }
   });
   src_port_->StartTransmit(WithFcs(f.Encode()), 0, 0);
@@ -413,6 +414,7 @@ TEST_F(DigipeaterTest, RepeatsFrameAddressedThroughIt) {
   EXPECT_FALSE(dst_heard[0].digipeaters[0].repeated);
   EXPECT_TRUE(dst_heard[1].digipeaters[0].repeated);
   EXPECT_TRUE(dst_heard[1].DigipeatingComplete());
+  EXPECT_EQ(dst_heard[1].info, BytesFromString("via digi"));
 }
 
 TEST_F(DigipeaterTest, IgnoresFramesNotRoutedThroughIt) {
@@ -466,8 +468,8 @@ TEST_F(DigipeaterTest, TwoHopChain) {
       return;
     }
     Bytes body(wire.begin(), wire.end() - 2);
-    auto d = Ax25Frame::Decode(body);
-    if (d && d->DigipeatingComplete()) {
+    auto d = Ax25Frame::DecodeView(body);
+    if (d && d->frame.DigipeatingComplete()) {
       complete_copy_heard = true;
     }
   });

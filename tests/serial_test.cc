@@ -18,9 +18,10 @@ SimTime LandTime(std::uint64_t n, std::uint32_t baud) {
 
 TEST(SerialLineTest, DeliversBytesInOrder) {
   Simulator sim;
-  SerialLine line(&sim, 9600);
+  SerialLine line(&sim, {.baud_rate = 9600});
   Bytes got;
-  line.b().set_receive_handler([&](std::uint8_t b) { got.push_back(b); });
+  line.b().set_receive_chunk_handler(
+      [&](const std::uint8_t* d, std::size_t n) { got.insert(got.end(), d, d + n); });
   line.a().Write(Bytes{1, 2, 3, 4});
   sim.RunAll();
   EXPECT_EQ(got, (Bytes{1, 2, 3, 4}));
@@ -28,11 +29,12 @@ TEST(SerialLineTest, DeliversBytesInOrder) {
 
 TEST(SerialLineTest, ByteTimingMatchesBaudRate) {
   Simulator sim;
-  SerialLine line(&sim, 9600);
+  SerialLine line(&sim, {.baud_rate = 9600});
   // 10 bits per byte at 9600 baud, rounded to the nearest nanosecond.
   EXPECT_EQ(line.byte_time(), LandTime(1, 9600));
   std::vector<SimTime> arrivals;
-  line.b().set_receive_handler([&](std::uint8_t) { arrivals.push_back(sim.Now()); });
+  line.b().set_receive_chunk_handler(
+      [&](const std::uint8_t*, std::size_t) { arrivals.push_back(sim.Now()); });
   line.a().Write(Bytes{0, 0, 0});
   sim.RunAll();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -48,9 +50,10 @@ TEST(SerialLineTest, NonDivisorBaudRateDoesNotDrift) {
   // within half a nanosecond of exact forever. 9600 bytes at 9600 baud with
   // 10-bit framing is exactly 10 seconds.
   Simulator sim;
-  SerialLine line(&sim, 9600);
+  SerialLine line(&sim, {.baud_rate = 9600});
   SimTime last = 0;
-  line.b().set_receive_handler([&](std::uint8_t) { last = sim.Now(); });
+  line.b().set_receive_chunk_handler(
+      [&](const std::uint8_t*, std::size_t) { last = sim.Now(); });
   line.a().Write(Bytes(9600, 0x55));
   sim.RunAll();
   EXPECT_EQ(last, Seconds(10));
@@ -58,9 +61,10 @@ TEST(SerialLineTest, NonDivisorBaudRateDoesNotDrift) {
 
 TEST(SerialLineTest, BacklogSerializesBursts) {
   Simulator sim;
-  SerialLine line(&sim, 1200);
+  SerialLine line(&sim, {.baud_rate = 1200});
   int received = 0;
-  line.b().set_receive_handler([&](std::uint8_t) { ++received; });
+  line.b().set_receive_chunk_handler(
+      [&](const std::uint8_t*, std::size_t n) { received += static_cast<int>(n); });
   line.a().Write(Bytes(120, 0x55));  // one second of data at 1200 baud
   EXPECT_EQ(line.a().backlog(), 120u);
   sim.RunUntil(Milliseconds(500));
@@ -72,10 +76,12 @@ TEST(SerialLineTest, BacklogSerializesBursts) {
 
 TEST(SerialLineTest, FullDuplexDirectionsIndependent) {
   Simulator sim;
-  SerialLine line(&sim, 9600);
+  SerialLine line(&sim, {.baud_rate = 9600});
   int a_got = 0, b_got = 0;
-  line.a().set_receive_handler([&](std::uint8_t) { ++a_got; });
-  line.b().set_receive_handler([&](std::uint8_t) { ++b_got; });
+  line.a().set_receive_chunk_handler(
+      [&](const std::uint8_t*, std::size_t n) { a_got += static_cast<int>(n); });
+  line.b().set_receive_chunk_handler(
+      [&](const std::uint8_t*, std::size_t n) { b_got += static_cast<int>(n); });
   line.a().Write(Bytes(10, 1));
   line.b().Write(Bytes(10, 2));
   sim.RunAll();
@@ -87,9 +93,10 @@ TEST(SerialLineTest, FullDuplexDirectionsIndependent) {
 
 TEST(SerialLineTest, LaterWritesQueueBehindEarlier) {
   Simulator sim;
-  SerialLine line(&sim, 9600);
+  SerialLine line(&sim, {.baud_rate = 9600});
   std::vector<std::uint8_t> got;
-  line.b().set_receive_handler([&](std::uint8_t b) { got.push_back(b); });
+  line.b().set_receive_chunk_handler(
+      [&](const std::uint8_t* d, std::size_t n) { got.insert(got.end(), d, d + n); });
   line.a().Write(Bytes{1});
   line.a().Write(Bytes{2});
   sim.RunAll();
@@ -176,17 +183,6 @@ TEST(SerialSiloTest, NewBytesExtendArmedAlarm) {
   EXPECT_EQ(sizes, (std::vector<std::size_t>{8}));
 }
 
-TEST(SerialSiloTest, ByteHandlerStillWorksInSiloMode) {
-  Simulator sim;
-  SerialLine line(&sim, SiloConfig(9600, 16));
-  Bytes got;
-  line.b().set_receive_handler([&](std::uint8_t b) { got.push_back(b); });
-  Bytes sent{1, 2, 3, 4, 5, 6, 7, 8};
-  line.a().Write(sent);
-  sim.RunAll();
-  EXPECT_EQ(got, sent);
-}
-
 TEST(SerialSiloTest, SameByteStreamAsPerByteModeWithFewerEvents) {
   // The acceptance criterion: the silo path must deliver a byte-identical
   // stream with >= 3x fewer delivery events than per-byte mode.
@@ -196,7 +192,7 @@ TEST(SerialSiloTest, SameByteStreamAsPerByteModeWithFewerEvents) {
   }
 
   Simulator sim_pb;
-  SerialLine per_byte(&sim_pb, 9600);
+  SerialLine per_byte(&sim_pb, {.baud_rate = 9600});
   Bytes got_pb;
   per_byte.b().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
     got_pb.insert(got_pb.end(), d, d + n);
@@ -229,7 +225,8 @@ TEST(SerialBacklogCapTest, OverflowDropsWithStatInsteadOfBuffering) {
   cfg.max_backlog = 100;
   SerialLine line(&sim, cfg);
   int received = 0;
-  line.b().set_receive_handler([&](std::uint8_t) { ++received; });
+  line.b().set_receive_chunk_handler(
+      [&](const std::uint8_t*, std::size_t n) { received += static_cast<int>(n); });
   line.a().Write(Bytes(250, 0x77));
   // FIFO capped at 100: 150 bytes dropped, one overrun event recorded.
   EXPECT_EQ(line.a().backlog(), 100u);
@@ -247,7 +244,7 @@ TEST(SerialBacklogCapTest, OverflowDropsWithStatInsteadOfBuffering) {
 
 TEST(SerialBacklogCapTest, UnboundedByDefault) {
   Simulator sim;
-  SerialLine line(&sim, 1200);
+  SerialLine line(&sim, {.baud_rate = 1200});
   line.a().Write(Bytes(100000, 0));
   EXPECT_EQ(line.a().backlog(), 100000u);
   EXPECT_EQ(line.a().overruns(), 0u);

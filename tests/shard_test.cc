@@ -107,12 +107,6 @@ TEST(SpscRing, ConcurrentProducerConsumer) {
 // ---------------------------------------------------------------------------
 // ShardSet
 
-TEST(ShardSet, UnifiedModeAliasesOneSimulator) {
-  ShardSet set({.shards = 4, .mode = ShardSet::Mode::kUnified});
-  EXPECT_EQ(set.shard(0), set.shard(1));
-  EXPECT_EQ(set.shard(0), set.shard(3));
-}
-
 TEST(ShardSet, ShardedModeHasDistinctSimulators) {
   ShardSet set({.shards = 3, .mode = ShardSet::Mode::kSharded});
   EXPECT_NE(set.shard(0), set.shard(1));
@@ -231,8 +225,6 @@ class SyntheticWorkload {
 };
 
 TEST(ShardSet, AllModesProduceIdenticalPerShardSchedules) {
-  SyntheticWorkload unified(ShardSet::Mode::kUnified, 1);
-  unified.Run();
   SyntheticWorkload sharded(ShardSet::Mode::kSharded, 1);
   sharded.Run();
   SyntheticWorkload par2(ShardSet::Mode::kParallel, 2);
@@ -242,14 +234,12 @@ TEST(ShardSet, AllModesProduceIdenticalPerShardSchedules) {
 
   // Every shard saw its 200 local steps plus the handoffs aimed at it.
   for (std::size_t s = 0; s < SyntheticWorkload::kShards; ++s) {
-    ASSERT_GT(unified.logs()[s].size(), 200u) << "shard " << s;
-    EXPECT_EQ(sharded.logs()[s], unified.logs()[s]) << "shard " << s;
-    EXPECT_EQ(par2.logs()[s], unified.logs()[s]) << "shard " << s;
-    EXPECT_EQ(par4.logs()[s], unified.logs()[s]) << "shard " << s;
+    ASSERT_GT(sharded.logs()[s].size(), 200u) << "shard " << s;
+    EXPECT_EQ(par2.logs()[s], sharded.logs()[s]) << "shard " << s;
+    EXPECT_EQ(par4.logs()[s], sharded.logs()[s]) << "shard " << s;
   }
-  EXPECT_EQ(sharded.executed(), unified.executed());
-  EXPECT_EQ(par2.executed(), unified.executed());
-  EXPECT_EQ(par4.executed(), unified.executed());
+  EXPECT_EQ(par2.executed(), sharded.executed());
+  EXPECT_EQ(par4.executed(), sharded.executed());
   EXPECT_TRUE(par4.Idle());
 
   // Handoff accounting: the parallel runs posted the same crossings the

@@ -15,14 +15,15 @@ namespace {
 struct Station {
   Station(Simulator* sim, RadioChannel* ch, const std::string& name, TncConfig config,
           std::uint64_t seed)
-      : serial(sim, 9600),
+      : serial(sim, {.baud_rate = 9600}),
         tnc(sim, ch, &serial.b(), name, config, seed),
-        decoder([this](const KissFrame& f) {
-          if (f.command == KissCommand::kData) {
-            frames.push_back(f.payload);
+        decoder([this](std::uint8_t, KissCommand command, ByteView payload) {
+          if (command == KissCommand::kData) {
+            frames.emplace_back(payload.begin(), payload.end());
           }
         }) {
-    serial.a().set_receive_handler([this](std::uint8_t b) { decoder.Feed(b); });
+    serial.a().set_receive_chunk_handler(
+        [this](const std::uint8_t* data, std::size_t len) { decoder.Feed(data, len); });
   }
 
   void SendAx25(const Ax25Frame& f) { serial.a().Write(KissEncodeData(f.Encode())); }
@@ -63,9 +64,10 @@ TEST_F(TncTest, HostToAirToHost) {
   a.SendAx25(f);
   sim_.RunUntil(Seconds(10));
   ASSERT_EQ(b.frames.size(), 1u);
-  auto decoded = Ax25Frame::Decode(b.frames[0]);
+  auto decoded = Ax25Frame::DecodeView(b.frames[0]);
   ASSERT_TRUE(decoded);
-  EXPECT_EQ(decoded->info, BytesFromString("over the air"));
+  EXPECT_EQ(Bytes(decoded->info.begin(), decoded->info.end()),
+            BytesFromString("over the air"));
   EXPECT_EQ(a.tnc.frames_from_host(), 1u);
   EXPECT_EQ(b.tnc.frames_to_host(), 1u);
 }

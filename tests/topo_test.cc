@@ -143,26 +143,9 @@ TEST(CityTopology, SeededRunGeneratesTraffic) {
   EXPECT_EQ(sent, total.pings_sent);
 }
 
-// The same seed must yield the same summary under the unified (pre-shard
-// reference) and sharded executors — the in-process face of the tracediff
-// gate that tools/CMakeLists.txt runs on pcapng output.
-TEST(CityTopology, UnifiedAndShardedSummariesMatch) {
-  std::string summaries[2];
-  const ShardSet::Mode modes[2] = {ShardSet::Mode::kUnified,
-                                   ShardSet::Mode::kSharded};
-  for (int m = 0; m < 2; ++m) {
-    CityConfig cfg = SmallConfig(3, 4);
-    cfg.radio_bit_rate = 9600;
-    cfg.mode = modes[m];
-    CityTopology city(cfg);
-    city.Run(Seconds(8));
-    summaries[m] = city.FormatSummary();
-  }
-  EXPECT_EQ(summaries[0], summaries[1]);
-  EXPECT_FALSE(summaries[0].empty());
-}
-
-// ...and the parallel executor must agree with both, run to run.
+// The parallel executor must agree with the serial sharded merge, run to
+// run. (The sharded output itself is pinned by the city golden that
+// tools/CMakeLists.txt checks on pcapng output.)
 TEST(CityTopology, ParallelSummaryMatchesSerialAndRepeats) {
   std::string serial;
   std::string parallel[2];

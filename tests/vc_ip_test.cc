@@ -36,7 +36,7 @@ class VcPair : public ::testing::Test {
                                          std::uint64_t seed) {
     auto st = std::make_unique<VcStation>();
     st->stack = std::make_unique<NetStack>(&sim_, name);
-    st->serial = std::make_unique<SerialLine>(&sim_, 9600);
+    st->serial = std::make_unique<SerialLine>(&sim_, SerialLineConfig{.baud_rate = 9600});
     TncConfig tnc_cfg;
     tnc_cfg.local_addresses.push_back(*Ax25Address::Parse(call));
     st->tnc = std::make_unique<KissTnc>(&sim_, channel_.get(), &st->serial->b(), name,

@@ -2,7 +2,7 @@
 # Tier-1 verification script.
 #
 # Job 1: regular build + full test suite (the ROADMAP.md tier-1 command)
-#        plus the copy-path smoke bench (zero-copy ratio regression gate).
+#        plus the copy-path smoke bench (zero-copy ceiling regression gate).
 # Job 2: ASan+UBSan build + full test suite + smoke, so lifetime bugs in the
 #        simulator event pool / serial callback plumbing cannot land silently.
 #
@@ -350,7 +350,7 @@ if [ "$run_regular" = 1 ]; then
   ctest --test-dir build --output-on-failure -j"${jobs}"
 
   if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: copy-path smoke (zero-copy ratios) ==="
+    echo "=== tier-1: copy-path smoke (zero-copy ceilings) ==="
     run_smoke ./build/bench/bench_e8_copy_path
   fi
 

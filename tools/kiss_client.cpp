@@ -171,7 +171,9 @@ class KissStation {
         mycall_(mycall),
         peer_(peer),
         verbose_(verbose),
-        decoder_([this](const KissFrame& f) { OnKissFrame(f); }) {}
+        decoder_([this](std::uint8_t, KissCommand command, ByteView payload) {
+          OnKissFrame(command, payload);
+        }) {}
 
   void SendCommand(KissCommand cmd, std::uint8_t value) {
     KissFrame f;
@@ -207,19 +209,22 @@ class KissStation {
   }
 
  private:
-  void OnKissFrame(const KissFrame& f) {
-    if (f.command != KissCommand::kData) {
+  void OnKissFrame(KissCommand command, ByteView payload) {
+    if (command != KissCommand::kData) {
       return;
     }
-    auto frame = Ax25Frame::Decode(f.payload, Ax25Modulus::kMod8);
-    if (!frame) {
+    auto decoded = Ax25Frame::DecodeView(payload, Ax25Modulus::kMod8);
+    if (!decoded) {
       return;
     }
+    // Queued frames outlive the decoder's buffer: take the info with them.
+    Ax25Frame& frame = decoded->frame;
+    frame.info.assign(decoded->info.begin(), decoded->info.end());
     if (verbose_) {
-      std::printf("<- %s\n", frame->ToString().c_str());
+      std::printf("<- %s\n", frame.ToString().c_str());
     }
-    if (frame->destination == mycall_ && frame->source == peer_) {
-      frames_.push_back(*frame);
+    if (frame.destination == mycall_ && frame.source == peer_) {
+      frames_.push_back(std::move(frame));
     }
   }
 
@@ -376,17 +381,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no I frame with the echo reply\n");
     return 1;
   }
-  Bytes stream = reply_frame->info;
+  const Bytes& stream = reply_frame->info;
   bool echo_ok = false;
   if (stream.size() >= 4) {
     const std::size_t total = (static_cast<std::size_t>(stream[2]) << 8) |
                               static_cast<std::size_t>(stream[3]);
     if (total >= 20 && stream.size() >= total) {
-      stream.resize(total);
-      auto parsed = Ipv4Header::Decode(stream);
+      auto parsed = Ipv4Header::DecodeView(ByteView(stream).first(total));
       if (parsed && parsed->header.protocol == kIpProtoIcmp) {
-        auto icmp = IcmpMessage::Decode(
-            ByteView(parsed->payload.data(), parsed->payload.size()));
+        auto icmp = IcmpMessage::Decode(parsed->payload);
         echo_ok = icmp && icmp->type == kIcmpEchoReply &&
                   icmp->body == echo.body;
       }

@@ -67,7 +67,6 @@ struct Options {
   std::string topo;             // e.g. "city:8x20"
   topo::CitySpec city_spec;     // validated in ParseOptions
   int parallel = 0;             // 0 = serial sharded merge
-  bool unsharded = false;       // pre-shard single-queue reference mode
   bool realtime = false;        // pace the schedule against the wall clock
   double time_scale = 1.0;      // simulated seconds per wall second
   std::string bridge_pty;       // port name to surface as a PTY
@@ -117,8 +116,6 @@ void Usage(const char* argv0) {
       "  --parallel N       run the city topology on N worker threads\n"
       "                     (conservative parallel DES; deterministic for a\n"
       "                     fixed seed + thread count)\n"
-      "  --unsharded        run the city topology on one shared event queue\n"
-      "                     (the pre-shard reference; tracediff gate)\n"
       "  --realtime         pace events against the wall clock so external\n"
       "                     processes can take part (ping/tcp/telnet/live)\n"
       "  --time-scale X     simulated seconds per wall second (default 1;\n"
@@ -227,8 +224,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
       }
     } else if (arg == "--parallel") {
       opt->parallel = static_cast<int>(count(1, 256, "an integer in [1, 256]"));
-    } else if (arg == "--unsharded") {
-      opt->unsharded = true;
     } else if (arg == "--realtime") {
       opt->realtime = true;
     } else if (arg == "--time-scale") {
@@ -550,16 +545,15 @@ int RunLiveScenario(const Options& opt) {
   return workload_ok ? 0 : 1;
 }
 
-// --- City-scale topology (ISSUE 8) ------------------------------------------
+// --- City-scale topology ----------------------------------------------------
 //
 // `--topo city:CxS` swaps the testbed for the upr::topo generator: C radio
 // channels of S stations behind per-channel gateways and a trunk backbone,
-// executed per the sharding mode — one shared queue (--unsharded), the
-// default single-thread sharded merge, or conservative parallel DES
-// (--parallel N). Tracing: the serial modes write one pcapng through a
-// tracer whose clock follows the executing shard; parallel mode writes one
-// file per shard (FILE.shard<k>.pcapng), each tracer installed thread-local
-// on the shard's worker.
+// executed per the sharding mode — the default single-thread sharded merge,
+// or conservative parallel DES (--parallel N). Tracing: the sharded merge
+// writes one pcapng through a tracer whose clock follows the executing
+// shard; parallel mode writes one file per shard (FILE.shard<k>.pcapng),
+// each tracer installed thread-local on the shard's worker.
 int RunCityScenario(const Options& opt) {
   if (!opt.record_faults.empty() || !opt.replay_faults.empty()) {
     std::fprintf(stderr, "fault record/replay is not supported for --topo\n");
@@ -569,15 +563,10 @@ int RunCityScenario(const Options& opt) {
     std::fprintf(stderr, "--monitor is not supported for --topo\n");
     return 2;
   }
-  if (opt.parallel > 0 && opt.unsharded) {
-    std::fprintf(stderr, "--parallel and --unsharded are exclusive\n");
-    return 2;
-  }
   topo::CityConfig cfg;
   cfg.spec = opt.city_spec;
-  cfg.mode = opt.unsharded ? ShardSet::Mode::kUnified
-             : opt.parallel > 0 ? ShardSet::Mode::kParallel
-                                : ShardSet::Mode::kSharded;
+  cfg.mode = opt.parallel > 0 ? ShardSet::Mode::kParallel
+                              : ShardSet::Mode::kSharded;
   cfg.threads = opt.parallel > 0 ? opt.parallel : 1;
   cfg.seed = opt.seed;
   cfg.radio_bit_rate = opt.rate;
@@ -662,9 +651,7 @@ int RunCityScenario(const Options& opt) {
         "handoffs posted %llu injected %llu ring-overflow %llu windows %llu "
         "merge-steps %llu\n",
         city.shards().shard_count(),
-        cfg.mode == ShardSet::Mode::kUnified    ? "unsharded"
-        : cfg.mode == ShardSet::Mode::kParallel ? "parallel"
-                                                : "sharded",
+        cfg.mode == ShardSet::Mode::kParallel ? "parallel" : "sharded",
         city.shards().threads(), static_cast<long long>(city.lookahead()),
         executed,
         static_cast<unsigned long long>(city.shards().TotalEventsScheduled()),
@@ -704,8 +691,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--record-faults and --replay-faults are exclusive\n");
     return 2;
   }
-  if (opt.topo.empty() && (opt.parallel > 0 || opt.unsharded)) {
-    std::fprintf(stderr, "--parallel/--unsharded need --topo\n");
+  if (opt.topo.empty() && opt.parallel > 0) {
+    std::fprintf(stderr, "--parallel needs --topo\n");
     return 2;
   }
   const bool has_bridge =
