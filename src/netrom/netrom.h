@@ -77,8 +77,10 @@ struct NetRomPacket {
 
 class NetRomNode {
  public:
+  // The handler owns the payload it is handed: the IP tunnel adopts it as
+  // its packet buffer without a copy.
   using DatagramHandler =
-      std::function<void(const Ax25Address& source, std::uint8_t opcode, const Bytes&)>;
+      std::function<void(const Ax25Address& source, std::uint8_t opcode, Bytes&&)>;
   // Overflow tap: frames that are not NET/ROM (wrong PID) are passed on so
   // another user-level protocol can share the driver's tty queue.
   using FrameHandler = std::function<void(const Ax25Frame&)>;
@@ -130,7 +132,7 @@ class NetRomNode {
  private:
   void HandleFrame(const Ax25Frame& frame);
   void HandleNodesBroadcast(const Ax25Frame& frame);
-  void HandlePacket(const NetRomPacket& packet);
+  void HandlePacket(NetRomPacket&& packet);
   void TransmitTo(const Ax25Address& neighbor, const NetRomPacket& packet);
   void AgeRoutes();
 

@@ -103,6 +103,7 @@ class RadioChannel {
 
   // Creates a station attachment. The channel owns the port.
   RadioPort* CreatePort(std::string name);
+  std::size_t port_count() const { return ports_.size(); }
 
   bool Busy() const { return active_ != 0; }
   std::uint64_t bit_rate() const { return config_.bit_rate; }

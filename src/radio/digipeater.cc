@@ -21,18 +21,15 @@ Digipeater::Digipeater(Simulator* sim, RadioChannel* channel, Ax25Address callsi
 void Digipeater::OnReceive(const Bytes& wire, bool corrupted) {
   ++frames_heard_;
   // FCS check: corrupted frames fail; also verify the trailing CRC.
-  if (corrupted || wire.size() < 2) {
+  std::optional<ByteView> body;
+  if (!corrupted) {
+    body = FcsCheckedBody(wire);
+  }
+  if (!body) {
     ++frames_dropped_;
     return;
   }
-  Bytes body(wire.begin(), wire.end() - 2);
-  std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                 wire[wire.size() - 1] << 8);
-  if (Crc16Ccitt(body) != fcs) {
-    ++frames_dropped_;
-    return;
-  }
-  auto decoded = Ax25Frame::DecodeView(body);
+  auto decoded = Ax25Frame::DecodeView(*body);
   if (!decoded) {
     ++frames_dropped_;
     return;

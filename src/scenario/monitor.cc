@@ -71,48 +71,41 @@ void ChannelMonitor::OnFrame(const Bytes& wire, bool corrupted) {
   char stamp[32];
   std::snprintf(stamp, sizeof(stamp), "%9.3f ", ToSeconds(sim_->Now()));
   line += stamp;
+  std::optional<ByteView> body;
   if (corrupted || wire.size() < 2) {
     ++counters_.corrupted;
     line += "<collision/noise " + std::to_string(wire.size()) + " bytes>";
+  } else if (!(body = FcsCheckedBody(wire))) {
+    ++counters_.corrupted;
+    line += "<bad FCS " + std::to_string(wire.size()) + " bytes>";
+  } else if (auto decoded = Ax25Frame::DecodeView(*body); !decoded) {
+    line += "<undecodable frame>";
   } else {
-    Bytes body(wire.begin(), wire.end() - 2);
-    std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                   wire[wire.size() - 1] << 8);
-    if (Crc16Ccitt(body) != fcs) {
-      ++counters_.corrupted;
-      line += "<bad FCS " + std::to_string(wire.size()) + " bytes>";
-    } else {
-      auto decoded = Ax25Frame::DecodeView(body);
-      if (!decoded) {
-        line += "<undecodable frame>";
-      } else {
-        const Ax25Frame& frame = decoded->frame;
-        if (frame.type == Ax25FrameType::kUi) {
-          switch (frame.pid) {
-            case kPidIp:
-              ++counters_.ui_ip;
-              break;
-            case kPidArp:
-              ++counters_.ui_arp;
-              break;
-            case kPidNetRom:
-              ++counters_.ui_netrom;
-              break;
-            default:
-              ++counters_.ui_other;
-              break;
-          }
-        } else {
-          ++counters_.connected_mode;
-        }
-        // The info stays a view, so ToString() cannot see its length.
-        line += frame.ToString();
-        if (!decoded->info.empty()) {
-          line += " len=" + std::to_string(decoded->info.size());
-        }
-        line += DescribePayload(frame, decoded->info);
+    const Ax25Frame& frame = decoded->frame;
+    if (frame.type == Ax25FrameType::kUi) {
+      switch (frame.pid) {
+        case kPidIp:
+          ++counters_.ui_ip;
+          break;
+        case kPidArp:
+          ++counters_.ui_arp;
+          break;
+        case kPidNetRom:
+          ++counters_.ui_netrom;
+          break;
+        default:
+          ++counters_.ui_other;
+          break;
       }
+    } else {
+      ++counters_.connected_mode;
     }
+    // The info stays a view, so ToString() cannot see its length.
+    line += frame.ToString();
+    if (!decoded->info.empty()) {
+      line += " len=" + std::to_string(decoded->info.size());
+    }
+    line += DescribePayload(frame, decoded->info);
   }
   if (on_line_) {
     on_line_(line);

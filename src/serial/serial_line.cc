@@ -1,5 +1,6 @@
 #include "src/serial/serial_line.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/trace/trace.h"
@@ -44,9 +45,9 @@ void SerialEndpoint::DeliverChunk(const std::uint8_t* data, std::size_t len) {
 }
 
 void SerialEndpoint::FlushSilo(SimTime when) {
-  if (silo_alarm_armed_) {
+  if (silo_alarm_id_ != 0) {
     line_->sim_->Cancel(silo_alarm_id_);
-    silo_alarm_armed_ = false;
+    silo_alarm_id_ = 0;
   }
   if (silo_.empty()) {
     return;
@@ -61,14 +62,13 @@ void SerialEndpoint::FlushSilo(SimTime when) {
 }
 
 void SerialEndpoint::ArmSiloAlarm() {
-  if (silo_alarm_armed_) {
+  if (silo_alarm_id_ != 0) {
     line_->sim_->Cancel(silo_alarm_id_);
   }
-  silo_alarm_armed_ = true;
   SimTime when = busy_until_ + line_->config_.silo_timeout;
   SerialEndpoint* dst = peer_;
   silo_alarm_id_ = line_->sim_->ScheduleAt(when, [this, dst] {
-    silo_alarm_armed_ = false;
+    silo_alarm_id_ = 0;
     if (silo_.empty()) {
       return;
     }
@@ -78,6 +78,26 @@ void SerialEndpoint::ArmSiloAlarm() {
     backlog_ -= chunk.size();
     dst->DeliverChunk(chunk.data(), chunk.size());
   });
+}
+
+void SerialEndpoint::ArmNextByte() {
+  const InFlight& next = in_flight_->front();
+  line_->sim_->ScheduleAtSeq(next.when, next.seq, [this] { LandByte(); });
+}
+
+void SerialEndpoint::LandByte() {
+  const std::uint8_t b = in_flight_->front().byte;
+  in_flight_->pop_front();
+  // Arm the successor before delivering: a handler that writes to this
+  // direction again then finds the FIFO in a consistent state. An emptied
+  // FIFO is dropped, so an idle line holds no storage.
+  if (in_flight_->empty()) {
+    in_flight_.reset();
+  } else {
+    ArmNextByte();
+  }
+  --backlog_;
+  peer_->DeliverChunk(&b, 1);
 }
 
 void SerialEndpoint::Write(const Bytes& bytes) {
@@ -94,38 +114,44 @@ void SerialEndpoint::Write(const Bytes& bytes) {
     tx_epoch_ = sim->Now();
     tx_bytes_since_epoch_ = 0;
   }
-  std::uint64_t dropped = 0;
-  for (std::uint8_t b : bytes) {
-    if (cfg.max_backlog != 0 && backlog_ >= cfg.max_backlog) {
-      // FIFO full: the DZ would overrun; drop with a stat, don't buffer
-      // without bound.
-      ++dropped;
-      continue;
+  // Bytes past the FIFO cap are dropped with a stat, not buffered without
+  // bound (the DZ would overrun). Nothing drains the backlog during this
+  // call, so the accepted bytes are a prefix of the write.
+  const auto accepted =
+      static_cast<std::size_t>(std::min<std::uint64_t>(bytes.size(), tx_room()));
+  const bool per_byte = cfg.mode == SerialLineConfig::Mode::kPerByte;
+  const bool arm = per_byte && accepted != 0 && !in_flight_;
+  std::uint64_t seq = 0;
+  if (per_byte) {
+    seq = sim->ReserveSeqs(accepted);
+    if (arm) {
+      in_flight_ = std::make_unique<std::deque<InFlight>>();
     }
+  }
+  for (std::size_t i = 0; i < accepted; ++i) {
     ++tx_bytes_since_epoch_;
     busy_until_ = tx_epoch_ + line_->transfer_time(tx_bytes_since_epoch_);
     ++bytes_sent_;
     ++backlog_;
-    if (cfg.mode == SerialLineConfig::Mode::kPerByte) {
-      SerialEndpoint* dst = peer_;
+    if (per_byte) {
       ++events_scheduled_;
-      sim->ScheduleAt(busy_until_, [this, dst, b] {
-        --backlog_;
-        dst->DeliverChunk(&b, 1);
-      });
+      in_flight_->push_back({busy_until_, seq++, bytes[i]});
     } else {
-      silo_.push_back(b);
+      silo_.push_back(bytes[i]);
       if (silo_.size() >= cfg.silo_depth) {
         FlushSilo(busy_until_);
       }
     }
   }
-  if (cfg.mode == SerialLineConfig::Mode::kSilo && !silo_.empty()) {
+  if (arm) {
+    ArmNextByte();
+  }
+  if (!per_byte && !silo_.empty()) {
     ArmSiloAlarm();
   }
-  if (dropped != 0) {
+  if (accepted != bytes.size()) {
     ++overruns_;
-    bytes_dropped_ += dropped;
+    bytes_dropped_ += bytes.size() - accepted;
   }
 }
 

@@ -5,7 +5,13 @@
 //  * kPerByte (default, paper fidelity): each byte is a separate delivery
 //    event — one receive interrupt per character, which is exactly how the
 //    paper's driver ingests packets ("For each character in the packet, the
-//    tty driver calls the packet radio interrupt handler", §2.2).
+//    tty driver calls the packet radio interrupt handler", §2.2). The
+//    interrupts per character are unchanged by how they are queued: each
+//    direction keeps its bytes in flight in its own FIFO and holds one
+//    simulator event, for the next byte to land. Each byte reserves its
+//    event's seq at Write() time (Simulator::ReserveSeqs), so every delivery
+//    runs at the same (when, seq) place in the global order as if all of
+//    them had been scheduled up front.
 //
 //  * kSilo: the DH-style silo/DMA discipline the paper's §Performance points
 //    at as the cure for per-character overhead. Bytes accumulate in a
@@ -20,7 +26,9 @@
 #define SRC_SERIAL_SERIAL_LINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "src/sim/simulator.h"
@@ -99,8 +107,19 @@ class SerialEndpoint {
  private:
   friend class SerialLine;
 
+  // A per-byte-mode byte on the wire: its land time and reserved event seq.
+  struct InFlight {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint8_t byte;
+  };
+
   // Hands a landed chunk to the receive side of *this* endpoint.
   void DeliverChunk(const std::uint8_t* data, std::size_t len);
+  // Per-byte mode: queues the event for the oldest byte in flight.
+  void ArmNextByte();
+  // Per-byte mode: the event of the oldest byte in flight.
+  void LandByte();
   // Schedules delivery of the accumulated silo to the peer at `when`.
   void FlushSilo(SimTime when);
   // (Re)arms the silo-alarm flush for a partially-filled silo.
@@ -117,10 +136,14 @@ class SerialEndpoint {
   // per-byte truncation drift.
   SimTime tx_epoch_ = 0;
   std::uint64_t tx_bytes_since_epoch_ = 0;
+  // Per-byte mode: bytes on the wire, oldest first; only the oldest one is
+  // a pending simulator event. Created by Write() and dropped when it
+  // empties, so constructing a line allocates nothing and an idle line
+  // holds no storage.
+  std::unique_ptr<std::deque<InFlight>> in_flight_;
   // Silo mode: bytes on the wire not yet bundled into a delivery event.
   Bytes silo_;
-  std::uint64_t silo_alarm_id_ = 0;
-  bool silo_alarm_armed_ = false;
+  std::uint64_t silo_alarm_id_ = 0;  // 0 while no silo alarm is armed
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
   std::uint64_t backlog_ = 0;

@@ -36,11 +36,25 @@ void Simulator::Recycle(Event* ev) {
 }
 
 std::uint64_t Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+  return ScheduleAtSeq(when, next_seq_++, std::move(fn));
+}
+
+std::uint64_t Simulator::ReserveSeqs(std::uint64_t n) {
+  std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
+std::uint64_t Simulator::ScheduleAtSeq(SimTime when, std::uint64_t seq,
+                                       std::function<void()> fn) {
+  UPR_INVARIANT(seq != 0 && seq < next_seq_,
+                "event seq %llu was never handed out",
+                static_cast<unsigned long long>(seq));
   if (when < now_) {
     when = now_;
   }
   Event* ev = AllocEvent();
-  ev->seq = next_seq_++;
+  ev->seq = seq;
   ev->fn = std::move(fn);
   if (heap_.capacity() == 0) {
     heap_.reserve(kInitialHeapEntries);

@@ -3,7 +3,8 @@
 // Every component (radio channel, TNC, serial line, host stack, application)
 // schedules callbacks on a single Simulator. Events at equal timestamps run
 // in scheduling order (a monotonically increasing sequence number breaks
-// ties), so runs are bit-reproducible.
+// ties; an event queued late at a reserved seq keeps the place it reserved),
+// so runs are bit-reproducible.
 //
 // Event storage is one indexed binary min-heap ordered by (when, seq). Every
 // pooled event records its heap position, so Cancel() removes it in
@@ -76,6 +77,17 @@ class Simulator {
   // Returns an id usable with Cancel().
   std::uint64_t Schedule(SimTime delay, std::function<void()> fn);
   std::uint64_t ScheduleAt(SimTime when, std::function<void()> fn);
+
+  // Reserves `n` consecutive sequence numbers and returns the first; they
+  // count in events_scheduled() at once. A component that keeps a stream of
+  // future events outside the heap (the per-byte serial line) reserves each
+  // event's seq when it would have scheduled it and queues it later with
+  // ScheduleAtSeq(): ties at equal `when` then break exactly as if every
+  // event had been scheduled up front.
+  std::uint64_t ReserveSeqs(std::uint64_t n);
+  // ScheduleAt() with a seq taken from ReserveSeqs() instead of a fresh one.
+  std::uint64_t ScheduleAtSeq(SimTime when, std::uint64_t seq,
+                              std::function<void()> fn);
 
   // Cancels a pending event; a no-op if it already ran or was cancelled.
   // O(log n): the event leaves the heap and its slot is recycled at once.

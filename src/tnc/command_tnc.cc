@@ -282,16 +282,14 @@ void CommandModeTnc::OnCommandLine(const std::string& line) {
 }
 
 void CommandModeTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
-  if (corrupted || wire.size() < 2) {
+  if (corrupted) {
     return;
   }
-  Bytes body(wire.begin(), wire.end() - 2);
-  std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                 wire[wire.size() - 1] << 8);
-  if (Crc16Ccitt(body) != fcs) {
+  std::optional<ByteView> body = FcsCheckedBody(wire);
+  if (!body) {
     return;
   }
-  auto decoded = Ax25Frame::DecodeView(body);
+  auto decoded = Ax25Frame::DecodeView(*body);
   if (!decoded) {
     return;
   }
@@ -304,7 +302,7 @@ void CommandModeTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
   }
   if (frame.destination == config_.mycall) {
     frame.info.assign(decoded->info.begin(), decoded->info.end());
-    link_->HandleDecoded(frame, body);
+    link_->HandleDecoded(frame, *body);
     return;
   }
   if (config_.monitor && frame.type == Ax25FrameType::kUi) {

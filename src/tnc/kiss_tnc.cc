@@ -132,7 +132,7 @@ void KissTnc::EnterKissMode() {
   ++kiss_resyncs_;
 }
 
-bool KissTnc::PassesFilter(const Bytes& ax25_body) const {
+bool KissTnc::PassesFilter(ByteView ax25_body) const {
   if (!config_.address_filter) {
     return true;
   }
@@ -160,24 +160,23 @@ bool KissTnc::PassesFilter(const Bytes& ax25_body) const {
 }
 
 void KissTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
-  if (corrupted || wire.size() < 2) {
+  std::optional<ByteView> body;
+  if (!corrupted) {
+    body = FcsCheckedBody(wire);
+  }
+  if (!body) {
     ++fcs_errors_;
     return;
   }
-  Bytes body(wire.begin(), wire.end() - 2);
-  std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                 wire[wire.size() - 1] << 8);
-  if (Crc16Ccitt(body) != fcs) {
-    ++fcs_errors_;
-    return;
-  }
-  if (!PassesFilter(body)) {
+  if (!PassesFilter(*body)) {
     ++frames_filtered_;
     return;
   }
   ++frames_to_host_;
   trace::IfScope tscope(serial_->name(), trace::Dir::kTx);
-  Bytes stream = KissEncodeData(body);
+  // The one copy per heard frame: escaped straight off the wire buffer.
+  Bytes stream;
+  KissEncodeInto(*body, &stream);
   serial_bytes_to_host_ += stream.size();
   serial_->Write(stream);
 }

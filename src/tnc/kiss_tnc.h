@@ -79,7 +79,7 @@ class KissTnc {
   void OnKissFrame(KissCommand command, ByteView payload);
   void NoteParamUpdate();
   void OnRadioReceive(const Bytes& wire, bool corrupted);
-  bool PassesFilter(const Bytes& ax25_body) const;
+  bool PassesFilter(ByteView ax25_body) const;
 
   Simulator* sim_;
   std::string name_;

@@ -66,6 +66,19 @@ std::uint16_t Crc16Ccitt(const std::uint8_t* data, std::size_t len) {
 
 std::uint16_t Crc16Ccitt(const Bytes& b) { return Crc16Ccitt(b.data(), b.size()); }
 
+std::optional<ByteView> FcsCheckedBody(ByteView wire) {
+  if (wire.size() < 2) {
+    return std::nullopt;
+  }
+  ByteView body = wire.first(wire.size() - 2);
+  auto fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
+                                        wire[wire.size() - 1] << 8);
+  if (Crc16Ccitt(body.data(), body.size()) != fcs) {
+    return std::nullopt;
+  }
+  return body;
+}
+
 std::uint16_t Crc16CcittReference(const std::uint8_t* data, std::size_t len) {
   // Bitwise reflected CRC-16/X-25, one shift/xor per bit — the seed's
   // implementation, now the oracle the sliced version is checked against.

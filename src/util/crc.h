@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "src/util/byte_buffer.h"
 
@@ -25,6 +26,11 @@ namespace upr {
 // step.
 std::uint16_t Crc16Ccitt(const std::uint8_t* data, std::size_t len);
 std::uint16_t Crc16Ccitt(const Bytes& b);
+
+// Checks the little-endian FCS trailing an on-air frame and returns a view of
+// the frame without it; nullopt when `wire` is shorter than an FCS or the FCS
+// does not match. Receivers check and decode through this view, not a copy.
+std::optional<ByteView> FcsCheckedBody(ByteView wire);
 
 // The original table-free bitwise implementation (one shift/xor per bit).
 // Kept as the oracle for the exhaustive cross-check test and the A/B bench;

@@ -76,6 +76,27 @@ TEST(Crc16Test, UnalignedStartMatches) {
 
 // --- Internet checksum: word-parallel vs byte-pair -------------------------
 
+TEST(Crc16Test, FcsCheckedBodyViewsTheFrameWithoutItsFcs) {
+  Bytes wire = BytesFromString("an AX.25 frame body");
+  const std::size_t body_len = wire.size();
+  const std::uint16_t fcs = Crc16Ccitt(wire);
+  wire.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
+  wire.push_back(static_cast<std::uint8_t>(fcs >> 8));
+  auto body = FcsCheckedBody(wire);
+  ASSERT_TRUE(body);
+  EXPECT_EQ(body->data(), wire.data());  // a view, not a copy
+  EXPECT_EQ(body->size(), body_len);
+  wire[3] ^= 0x01;  // one flipped bit fails the check
+  EXPECT_FALSE(FcsCheckedBody(wire));
+  EXPECT_FALSE(FcsCheckedBody(Bytes{0x12}));  // shorter than an FCS
+  // An empty body carries the FCS of nothing.
+  const std::uint16_t empty_fcs = Crc16Ccitt(nullptr, 0);
+  auto empty = FcsCheckedBody(Bytes{static_cast<std::uint8_t>(empty_fcs & 0xFF),
+                                    static_cast<std::uint8_t>(empty_fcs >> 8)});
+  ASSERT_TRUE(empty);
+  EXPECT_TRUE(empty->empty());
+}
+
 TEST(ChecksumTest, WideMatchesReferenceForAllLengthsAndOffsets) {
   Rng rng(0x1071);
   for (std::size_t len = 0; len <= 70; ++len) {

@@ -62,6 +62,26 @@ class NetRomChainTest : public ::testing::Test {
     nodes_[2]->AddNeighbor(nodes_[1]->callsign(), 200);
   }
 
+  // Stack-level integration: station 0 (44.100.0.1) and station 2
+  // (44.100.0.2) route a private subnet through NetRomIpInterfaces; station 1
+  // is a pure NET/ROM relay. Returns station 2's tunnel interface.
+  NetInterface* BuildIpTunnel() {
+    for (int round = 0; round < 3; ++round) {
+      for (auto& n : nodes_) {
+        n->BroadcastNodes();
+      }
+      sim_.RunUntil(sim_.Now() + Seconds(60));
+    }
+    auto tun0 = std::make_unique<NetRomIpInterface>(nodes_[0].get(), "nr0");
+    tun0->Configure(IpV4Address(44, 100, 0, 1), 24);
+    tun0->MapIpToNode(IpV4Address(44, 100, 0, 2), nodes_[2]->callsign());
+    stations_[0]->stack().AddInterface(std::move(tun0));
+    auto tun2 = std::make_unique<NetRomIpInterface>(nodes_[2].get(), "nr0");
+    tun2->Configure(IpV4Address(44, 100, 0, 2), 24);
+    tun2->MapIpToNode(IpV4Address(44, 100, 0, 1), nodes_[0]->callsign());
+    return stations_[2]->stack().AddInterface(std::move(tun2));
+  }
+
   Simulator sim_;
   std::unique_ptr<RadioChannel> channel_;
   std::vector<std::unique_ptr<RadioStation>> stations_;
@@ -301,24 +321,7 @@ TEST_F(NetRomCircuitTest, TwoSimultaneousCircuitsDemux) {
 }
 
 TEST_F(NetRomChainTest, IpTunnelBetweenGatewayStacks) {
-  // Stack-level integration: station 0 and station 2 route a private subnet
-  // through NetRomIpInterfaces; station 1 is a pure NET/ROM relay.
-  for (int round = 0; round < 3; ++round) {
-    for (auto& n : nodes_) {
-      n->BroadcastNodes();
-    }
-    sim_.RunUntil(sim_.Now() + Seconds(60));
-  }
-  auto tun0 = std::make_unique<NetRomIpInterface>(nodes_[0].get(), "nr0");
-  tun0->Configure(IpV4Address(44, 100, 0, 1), 24);
-  tun0->MapIpToNode(IpV4Address(44, 100, 0, 2), nodes_[2]->callsign());
-  auto* t0 = stations_[0]->stack().AddInterface(std::move(tun0));
-  (void)t0;
-  auto tun2 = std::make_unique<NetRomIpInterface>(nodes_[2].get(), "nr0");
-  tun2->Configure(IpV4Address(44, 100, 0, 2), 24);
-  tun2->MapIpToNode(IpV4Address(44, 100, 0, 1), nodes_[0]->callsign());
-  stations_[2]->stack().AddInterface(std::move(tun2));
-
+  BuildIpTunnel();
   bool ok = false;
   SimTime rtt = 0;
   stations_[0]->stack().icmp().Ping(IpV4Address(44, 100, 0, 2), 32,
@@ -331,6 +334,31 @@ TEST_F(NetRomChainTest, IpTunnelBetweenGatewayStacks) {
   EXPECT_TRUE(ok);
   EXPECT_GT(rtt, 0);
   EXPECT_GE(nodes_[1]->forwarded(), 2u);  // request + reply relayed
+}
+
+TEST_F(NetRomChainTest, IpTunnelDeliversDatagramIntact) {
+  // The tunnel hands the NET/ROM payload to IP by move; the datagram must
+  // still arrive byte for byte, including KISS-special bytes (FEND, FESC).
+  NetInterface* tun2 = BuildIpTunnel();
+  Bytes sent;
+  for (int i = 0; i < 200; ++i) {
+    sent.push_back(static_cast<std::uint8_t>(i * 37 + 0xC0));
+  }
+  Bytes got;
+  IpV4Address from;
+  stations_[2]->udp().Bind(
+      4000, [&](IpV4Address src, std::uint16_t, const Bytes& data) {
+        from = src;
+        got = data;
+      });
+  ASSERT_TRUE(stations_[0]->udp().SendTo(IpV4Address(44, 100, 0, 2), 4000,
+                                         4001, sent));
+  sim_.RunUntil(sim_.Now() + Seconds(300));
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(from, IpV4Address(44, 100, 0, 1));
+  EXPECT_EQ(tun2->stats().ipackets, 1u);
+  EXPECT_EQ(tun2->stats().ibytes, 20u + 8u + sent.size());
+  EXPECT_EQ(nodes_[2]->delivered(), 1u);
 }
 
 }  // namespace

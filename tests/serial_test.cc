@@ -104,6 +104,96 @@ TEST(SerialLineTest, LaterWritesQueueBehindEarlier) {
   // Second byte lands a full byte-time after the first.
 }
 
+// --- Per-byte mode: one queued event per direction --------------------------
+//
+// Bytes in flight wait in the endpoint's FIFO; only the next one to land is a
+// simulator event. Each byte's event keeps the seq reserved at Write() time,
+// so these tests pin both the byte stream and its place in the event order.
+
+TEST(SerialLineTest, WritesWhileBytesInFlightAppendToTheStream) {
+  Simulator sim;
+  SerialLine line(&sim, {.baud_rate = 9600});
+  Bytes got;
+  std::vector<SimTime> at;
+  line.b().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
+    got.insert(got.end(), d, d + n);
+    at.push_back(sim.Now());
+  });
+  line.a().Write(Bytes{1, 2, 3});
+  sim.RunUntil(LandTime(1, 9600));  // byte 1 landed, 2 and 3 in flight
+  line.a().Write(Bytes{4, 5});
+  line.a().Write(Bytes{6});
+  EXPECT_EQ(line.a().backlog(), 5u);
+  EXPECT_EQ(sim.pending_events(), 1u);  // only the next byte is queued
+  sim.RunAll();
+  EXPECT_EQ(got, (Bytes{1, 2, 3, 4, 5, 6}));
+  ASSERT_EQ(at.size(), 6u);
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    EXPECT_EQ(at[i], LandTime(i + 1, 9600)) << "byte " << i;
+  }
+  EXPECT_EQ(line.a().events_scheduled(), 6u);
+  EXPECT_EQ(line.b().deliveries(), 6u);
+  EXPECT_EQ(sim.events_scheduled(), 6u);
+  EXPECT_EQ(sim.executed_events(), 6u);
+  EXPECT_EQ(line.a().backlog(), 0u);
+}
+
+TEST(SerialLineTest, WriteFromInsideDeliveryHandler) {
+  // The receiver writes back on the same direction from its handler, once
+  // while bytes are still in flight and once after the last one landed, and
+  // echoes every byte on the reverse direction.
+  Simulator sim;
+  SerialLine line(&sim, {.baud_rate = 9600});
+  Bytes got;
+  std::vector<SimTime> at;
+  Bytes echoed;
+  line.b().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
+    got.insert(got.end(), d, d + n);
+    at.push_back(sim.Now());
+    if (d[0] == 1) {
+      line.a().Write(Bytes{7});  // 2 still in flight: queues behind it
+    } else if (d[0] == 7) {
+      line.a().Write(Bytes{8});  // the FIFO just emptied: re-arms
+    }
+    line.b().Write(Bytes(d, d + n));
+  });
+  line.a().set_receive_chunk_handler(
+      [&](const std::uint8_t* d, std::size_t n) { echoed.insert(echoed.end(), d, d + n); });
+  line.a().Write(Bytes{1, 2});
+  sim.RunAll();
+  EXPECT_EQ(got, (Bytes{1, 2, 7, 8}));
+  ASSERT_EQ(at.size(), 4u);
+  EXPECT_EQ(at[0], LandTime(1, 9600));
+  EXPECT_EQ(at[1], LandTime(2, 9600));
+  EXPECT_EQ(at[2], LandTime(3, 9600));  // the line never went idle
+  EXPECT_EQ(at[3], at[2] + line.byte_time());
+  EXPECT_EQ(echoed, got);
+  EXPECT_EQ(line.a().events_scheduled() + line.b().events_scheduled(),
+            sim.events_scheduled());
+  EXPECT_EQ(sim.executed_events(), 8u);
+}
+
+TEST(SerialLineTest, EqualTimeDeliveriesOnTwoLinesKeepLineOrder) {
+  // Two lines written at the same instant land their bytes at identical
+  // times; each tie breaks by which line wrote first, as when every byte was
+  // its own event scheduled at Write() time.
+  Simulator sim;
+  SerialLine one(&sim, {.baud_rate = 9600});
+  SerialLine two(&sim, {.baud_rate = 9600});
+  std::vector<int> order;
+  one.b().set_receive_chunk_handler(
+      [&](const std::uint8_t* d, std::size_t) { order.push_back(10 + d[0]); });
+  two.b().set_receive_chunk_handler(
+      [&](const std::uint8_t* d, std::size_t) { order.push_back(20 + d[0]); });
+  one.a().Write(Bytes{1, 2, 3});
+  two.a().Write(Bytes{1, 2, 3});
+  // Appended in the opposite line order: the fourth bytes tie the other way.
+  two.a().Write(Bytes{4});
+  one.a().Write(Bytes{4});
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{11, 21, 12, 22, 13, 23, 24, 14}));
+}
+
 // --- Silo (DZ/DH batched) mode ---------------------------------------------
 
 SerialLineConfig SiloConfig(std::uint32_t baud, std::size_t depth,
@@ -225,21 +315,36 @@ TEST(SerialBacklogCapTest, OverflowDropsWithStatInsteadOfBuffering) {
   cfg.max_backlog = 100;
   SerialLine line(&sim, cfg);
   int received = 0;
-  line.b().set_receive_chunk_handler(
-      [&](const std::uint8_t*, std::size_t n) { received += static_cast<int>(n); });
+  bool tie_ran_last = false;
+  line.b().set_receive_chunk_handler([&](const std::uint8_t*, std::size_t n) {
+    received += static_cast<int>(n);
+    tie_ran_last = false;
+  });
   line.a().Write(Bytes(250, 0x77));
   // FIFO capped at 100: 150 bytes dropped, one overrun event recorded.
   EXPECT_EQ(line.a().backlog(), 100u);
   EXPECT_EQ(line.a().overruns(), 1u);
   EXPECT_EQ(line.a().bytes_dropped(), 150u);
   EXPECT_EQ(line.a().bytes_sent(), 100u);
+  // Only accepted bytes take an event seq.
+  EXPECT_EQ(line.a().events_scheduled(), 100u);
+  EXPECT_EQ(sim.events_scheduled(), 100u);
+  // An event scheduled now for the last byte's land time ties with it and,
+  // holding the next seq, runs after it.
+  sim.ScheduleAt(LandTime(100, 1200), [&] { tie_ran_last = true; });
+  line.a().Write(Bytes(5, 0x01));  // FIFO still full: all dropped
+  EXPECT_EQ(line.a().overruns(), 2u);
+  EXPECT_EQ(line.a().bytes_dropped(), 155u);
+  EXPECT_EQ(sim.events_scheduled(), 101u);
   sim.RunAll();
   EXPECT_EQ(received, 100);
+  EXPECT_TRUE(tie_ran_last);
   // Once drained, new writes go through again.
   line.a().Write(Bytes(10, 0x01));
   sim.RunAll();
   EXPECT_EQ(received, 110);
-  EXPECT_EQ(line.a().overruns(), 1u);
+  EXPECT_EQ(line.a().overruns(), 2u);
+  EXPECT_EQ(sim.events_scheduled(), 111u);
 }
 
 TEST(SerialBacklogCapTest, UnboundedByDefault) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -325,6 +326,83 @@ TEST(SimulatorTest, ChurnExecutionOrderMatchesPinnedSequence) {
   EXPECT_EQ(fired.size(), 1443u);
   EXPECT_EQ(hash, 0xa198b9e40a7e4805ULL);
   EXPECT_EQ(sim.Now(), 14'230'530'609);
+}
+
+TEST(SimulatorTest, ReservedSeqsKeepTheirPlaceAmongEqualTimeEvents) {
+  // Seqs reserved between two ordinary schedules and queued later, out of
+  // order, run exactly where they were reserved.
+  Simulator sim;
+  std::vector<int> order;
+  const SimTime t = Milliseconds(5);
+  sim.ScheduleAt(t, [&] { order.push_back(0); });
+  const std::uint64_t r = sim.ReserveSeqs(3);
+  sim.ScheduleAt(t, [&] { order.push_back(4); });
+  sim.ScheduleAt(t, [&] { order.push_back(5); });
+  EXPECT_EQ(sim.events_scheduled(), 6u);
+  sim.ScheduleAtSeq(t, r + 2, [&] { order.push_back(3); });
+  sim.ScheduleAtSeq(t, r, [&] { order.push_back(1); });
+  sim.ScheduleAtSeq(t, r + 1, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.events_scheduled(), 6u);  // queuing reserves nothing new
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.executed_events(), 6u);
+}
+
+TEST(SimulatorTest, ReservedStreamQueuedOneAtATimeMatchesUpFrontSchedule) {
+  // The serial line's pattern: a stream of events with non-decreasing
+  // deadlines reserves its seqs up front, but only its head is queued; each
+  // event queues its successor when it fires. Ordinary events scheduled
+  // before and after the reservation, at the same instants, some of them
+  // cancelled, must interleave exactly as if the whole stream had been
+  // scheduled up front.
+  const std::vector<SimTime> stream = {Milliseconds(1), Milliseconds(2),
+                                       Milliseconds(2), Milliseconds(3),
+                                       Milliseconds(5)};
+  const std::vector<SimTime> others = {Milliseconds(1), Milliseconds(2),
+                                       Milliseconds(3), Milliseconds(4),
+                                       Milliseconds(5)};
+  auto run = [&](bool lazy) {
+    Simulator sim;
+    std::vector<int> order;
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < others.size(); ++i) {
+      const int tag = 100 + static_cast<int>(i);
+      ids.push_back(sim.ScheduleAt(others[i], [&order, tag] { order.push_back(tag); }));
+    }
+    std::uint64_t first = 0;
+    std::function<void(std::size_t)> arm;
+    if (lazy) {
+      first = sim.ReserveSeqs(stream.size());
+      arm = [&](std::size_t k) {
+        sim.ScheduleAtSeq(stream[k], first + k, [&, k] {
+          if (k + 1 < stream.size()) {
+            arm(k + 1);
+          }
+          order.push_back(static_cast<int>(k));
+        });
+      };
+      arm(0);
+    } else {
+      for (std::size_t k = 0; k < stream.size(); ++k) {
+        sim.ScheduleAt(stream[k], [&order, k] { order.push_back(static_cast<int>(k)); });
+      }
+    }
+    for (std::size_t i = 0; i < others.size(); ++i) {
+      const int tag = 200 + static_cast<int>(i);
+      ids.push_back(sim.ScheduleAt(others[i], [&order, tag] { order.push_back(tag); }));
+    }
+    // Cancel neighbours of stream events on both sides of the reservation.
+    sim.Cancel(ids[1]);
+    sim.Cancel(ids[others.size() + 2]);
+    sim.Cancel(ids[others.size() + 4]);
+    sim.RunAll();
+    EXPECT_EQ(sim.events_scheduled(), stream.size() + 2 * others.size());
+    return order;
+  };
+  const std::vector<int> up_front = run(false);
+  EXPECT_EQ(up_front, (std::vector<int>{100, 0, 200, 1, 2, 201, 102, 3, 103,
+                                        203, 104, 4}));
+  EXPECT_EQ(run(true), up_front);
 }
 
 TEST(SimulatorTest, PopComparesAreLogarithmic) {

@@ -188,5 +188,27 @@ TEST(CityTopology, HeapComparesPerPopAreLogarithmic) {
   }
 }
 
+// Guard on the event queue's size: per-byte serial lines keep their bytes in
+// flight outside the heap, one pending event per line direction, so on the
+// city:4x50 topology each shard's event pool stays within a small multiple
+// of its serial endpoints plus radio ports (the rest is protocol timers and
+// the ping timeouts of 8 s of traffic). Queuing every byte in flight as its
+// own event put about 4,200 entries in the busiest shards' pools.
+TEST(CityTopology, EventPoolScalesWithEndpointsNotBytesInFlight) {
+  CityTopology city(SmallConfig(4, 50));
+  city.Run(Seconds(8));
+  const std::size_t stations = city.station_count() / city.channel_count();
+  for (std::size_t k = 0; k < city.shards().shard_count(); ++k) {
+    const Simulator& sim = *city.shards().shard(k);
+    // Every station and the gateway have a DZ-to-TNC line with two ends.
+    const std::size_t endpoints = 2 * (stations + 1);
+    const std::size_t ports = city.channel(k).port_count();
+    ASSERT_GT(city.channel(k).transmissions(), 0u) << "shard " << k;
+    EXPECT_LE(sim.pool_capacity(), 3 * (endpoints + ports))
+        << "shard " << k << ": " << endpoints << " serial endpoints, "
+        << ports << " radio ports";
+  }
+}
+
 }  // namespace
 }  // namespace upr::topo
