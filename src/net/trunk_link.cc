@@ -24,8 +24,6 @@ void TrunkLink::Wire(TrunkLink* a, TrunkLink* b) {
                 b->name().c_str());
   a->peer_ = b;
   b->peer_ = a;
-  a->shards_->EnsureLane(a->shard_, b->shard_);
-  a->shards_->EnsureLane(b->shard_, a->shard_);
 }
 
 SimTime TrunkLink::TransmitTime(std::size_t bytes) const {
@@ -56,9 +54,9 @@ void TrunkLink::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
   ++stats_.opackets;
   stats_.obytes += ip_datagram.size();
   // The local completion event frees a queue slot when the last bit departs;
-  // it stays on this shard. The delivery crosses shards through the handoff
-  // lane, carrying the datagram as owned bytes; the far shard adopts them
-  // into a PacketBuf of its own, so no PacketBuf crosses shard threads.
+  // it stays on this shard. The delivery is posted to the far shard,
+  // carrying the datagram as owned bytes that the far end adopts into a
+  // PacketBuf of its own.
   sim->ScheduleAt(busy_until_, [this] {
     UPR_INVARIANT(inflight_ > 0, "trunk %s: inflight underflow",
                   name_.c_str());

@@ -6,12 +6,9 @@
 // time of the underlying link). A TrunkLink is a NetInterface whose Output
 // crosses shards: the datagram serializes against the local end's transmit
 // clock, then rides a ShardSet::Post to the peer's shard, arriving at
-// depart + latency. Because the latency is at least the ShardSet lookahead,
-// trunks are exactly the conservative-DES channel boundary — the only way
-// state leaves a shard.
+// depart + latency. Trunks are the only way state leaves a shard.
 //
-// Both ends must be wired with Wire(), which also registers the handoff
-// lanes in both directions while the topology is still single-threaded.
+// Both ends must be wired with Wire() before the first Output.
 #ifndef SRC_NET_TRUNK_LINK_H_
 #define SRC_NET_TRUNK_LINK_H_
 
@@ -26,9 +23,7 @@ namespace upr {
 
 struct TrunkConfig {
   std::uint64_t bit_rate = 1'000'000;  // 1 Mbit/s backbone pipe
-  // One-way delivery delay after the last bit departs. Must be >= the
-  // ShardSet lookahead (the topology generator derives the lookahead FROM
-  // the minimum trunk latency, so this holds by construction).
+  // One-way delivery delay after the last bit departs.
   SimTime latency = 1'000'000;  // 1 ms
   // Datagrams in flight (serializing or propagating) before tail drop.
   std::size_t queue_limit = 64;
@@ -41,8 +36,7 @@ class TrunkLink : public NetInterface {
   TrunkLink(std::string name, ShardSet* shards, std::size_t shard,
             TrunkConfig config = {});
 
-  // Connects the two ends and registers both handoff lanes. Topology build
-  // time only.
+  // Connects the two ends. Topology build time only.
   static void Wire(TrunkLink* a, TrunkLink* b);
 
   std::size_t shard_index() const { return shard_; }

@@ -1,5 +1,7 @@
 #include "src/netrom/netrom_transport.h"
 
+#include <algorithm>
+
 #include "src/util/logging.h"
 
 namespace upr {
@@ -31,6 +33,20 @@ std::optional<Ax25Address> ReadCall(ByteReader* r) {
     return std::nullopt;
   }
   return d->address;
+}
+
+// A circuit datagram: the four-byte header (circuit index and id, then two
+// opcode-specific bytes) followed by `body`, built in one buffer sized up
+// front.
+Bytes CircuitPayload(std::uint8_t idx, std::uint8_t id, std::uint8_t b2,
+                     std::uint8_t b3, const Bytes& body) {
+  Bytes payload(4 + body.size());
+  payload[0] = idx;
+  payload[1] = id;
+  payload[2] = b2;
+  payload[3] = b3;
+  std::copy(body.begin(), body.end(), payload.begin() + 4);
+  return payload;
 }
 
 }  // namespace
@@ -222,24 +238,14 @@ void NetRomCircuit::StartAccept(const L4Message& conn_req, const Ax25Address& or
 }
 
 void NetRomCircuit::SendControl(std::uint8_t opcode, const Bytes& body) {
-  Bytes payload;
-  payload.push_back(their_idx_);
-  payload.push_back(their_id_);
-  payload.push_back(0);
-  payload.push_back(0);
-  payload.insert(payload.end(), body.begin(), body.end());
-  transport_->node()->SendDatagram(remote_node_, opcode, payload);
+  transport_->node()->SendDatagram(
+      remote_node_, opcode, CircuitPayload(their_idx_, their_id_, 0, 0, body));
 }
 
 void NetRomCircuit::SendInfoAck(std::uint8_t flags) {
-  Bytes payload;
-  payload.push_back(their_idx_);
-  payload.push_back(their_id_);
-  payload.push_back(0);
-  payload.push_back(vr_);
-  transport_->node()->SendDatagram(remote_node_,
-                                   static_cast<std::uint8_t>(kNrOpInfoAck | flags),
-                                   payload);
+  transport_->node()->SendDatagram(
+      remote_node_, static_cast<std::uint8_t>(kNrOpInfoAck | flags),
+      CircuitPayload(their_idx_, their_id_, 0, vr_, {}));
 }
 
 void NetRomCircuit::Send(const Bytes& data) {
@@ -282,18 +288,14 @@ void NetRomCircuit::TransmitInfo(std::uint8_t seq, bool retransmission) {
   if (it == outstanding_.end()) {
     return;
   }
-  Bytes payload;
-  payload.push_back(their_idx_);
-  payload.push_back(their_id_);
-  payload.push_back(seq);
-  payload.push_back(vr_);
-  payload.insert(payload.end(), it->second.begin(), it->second.end());
   if (retransmission) {
     ++info_resent_;
   } else {
     ++info_sent_;
   }
-  transport_->node()->SendDatagram(remote_node_, kNrOpInfo, payload);
+  transport_->node()->SendDatagram(
+      remote_node_, kNrOpInfo,
+      CircuitPayload(their_idx_, their_id_, seq, vr_, it->second));
 }
 
 void NetRomCircuit::HandleInfoAckField(std::uint8_t rx_seq) {

@@ -326,8 +326,8 @@ bool Session::ReplayClean() const {
 }
 
 namespace {
-// thread_local like the ambient tracer: each parallel-city shard worker can
-// carry its own session (or none) without racing the main thread's.
+// thread_local like the ambient tracer: the session belongs to the thread
+// running the simulation, and a helper thread never sees or races it.
 thread_local Session* g_session = nullptr;
 }  // namespace
 

@@ -99,16 +99,7 @@ CityTopology::CityTopology(const CityConfig& config) : config_(config) {
                     config_.spec.stations <= kMaxStationsPerChannel,
                 "city spec out of range (%zu channels x %zu stations)",
                 config_.spec.channels, config_.spec.stations);
-  ShardSet::Config sc;
-  sc.shards = config_.spec.channels;
-  sc.mode = config_.mode;
-  sc.threads = config_.threads;
-  // Conservative lookahead: nothing crosses a shard boundary faster than a
-  // trunk delivers, and a trunk delivers no earlier than transmit-finish +
-  // latency — so the minimum trunk latency (all trunks share one config) is
-  // a sound horizon.
-  sc.lookahead = config_.trunk_latency;
-  shards_ = std::make_unique<ShardSet>(sc);
+  shards_ = std::make_unique<ShardSet>(config_.spec.channels);
 
   cells_.reserve(config_.spec.channels);
   for (std::size_t c = 0; c < config_.spec.channels; ++c) {
@@ -120,8 +111,6 @@ CityTopology::CityTopology(const CityConfig& config) : config_(config) {
 }
 
 CityTopology::~CityTopology() = default;
-
-SimTime CityTopology::lookahead() const { return shards_->lookahead(); }
 
 void CityTopology::BuildCell(std::size_t c) {
   auto cell = std::make_unique<Cell>();
@@ -387,8 +376,7 @@ ChannelTraffic CityTopology::TrafficTotal() const {
 }
 
 std::string CityTopology::FormatSummary() const {
-  // Stable, mode-independent text: the two-run / cross-mode determinism
-  // gates compare this byte-for-byte.
+  // Stable text: the city golden compares this byte-for-byte.
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line), "city %zux%zu trunks=%zu digis=%zu\n",

@@ -15,17 +15,14 @@
 //
 // Sharding: channel c *is* shard c. Every component of a channel — its
 // RadioChannel, stations, digipeaters, gateway stack — runs on
-// ShardSet::shard(c); the only cross-shard edges are the trunks, whose
-// latency therefore lower-bounds the conservative lookahead. The generator
-// derives lookahead = min trunk latency and wires the handoff lanes for
-// exactly the trunk pairs that exist.
+// ShardSet::shard(c); the only cross-shard edges are the trunks, which hand
+// each datagram to the far shard through ShardSet::Post.
 //
 // Traffic: every station runs a seeded periodic ICMP ping driver — most
 // ping their local gateway, every fourth station pings a station on another
 // channel (exercising the backbone), and every sixteenth reaches its
 // gateway through a digipeater path. All randomness is per-station
-// (MixSeed), consumed only on the station's own shard, so the schedule is
-// identical across sharded and parallel execution.
+// (MixSeed) and consumed only on the station's own shard.
 #ifndef SRC_SCENARIO_TOPO_GEN_H_
 #define SRC_SCENARIO_TOPO_GEN_H_
 
@@ -60,8 +57,6 @@ bool ParseCitySpec(std::string_view text, CitySpec* out, std::string* error);
 
 struct CityConfig {
   CitySpec spec;
-  ShardSet::Mode mode = ShardSet::Mode::kSharded;
-  int threads = 1;
   std::uint64_t seed = 42;
 
   std::uint64_t radio_bit_rate = 9600;
@@ -94,7 +89,6 @@ class CityTopology {
 
   ShardSet& shards() { return *shards_; }
   const CityConfig& config() const { return config_; }
-  SimTime lookahead() const;
 
   std::size_t channel_count() const { return cells_.size(); }
   std::size_t station_count() const;     // excluding gateways
@@ -112,7 +106,7 @@ class CityTopology {
   // "connected NET/ROM backbone" gate).
   bool BackboneConnected() const;
 
-  // Runs the topology (all modes) up to `duration` of simulated time.
+  // Runs the topology up to `duration` of simulated time.
   // Returns events executed.
   std::size_t Run(SimTime duration);
 
@@ -121,9 +115,8 @@ class CityTopology {
   }
   ChannelTraffic TrafficTotal() const;
 
-  // Deterministic per-channel summary (pings, gateway interface counters,
-  // per-shard event counts) — the artifact the parallel two-run determinism
-  // gate compares byte-for-byte.
+  // Deterministic per-channel summary (pings, gateway radio and trunk
+  // interface counters) — the text the city golden pins byte-for-byte.
   std::string FormatSummary() const;
 
   // Addressing plan.

@@ -1,172 +1,44 @@
 #include "src/sim/shard_exec.h"
 
-#include <algorithm>
-
 #include "src/util/panic.h"
 
 namespace upr {
 
-ShardSet::ShardSet(const Config& config)
-    : config_(config), shard_count_(config.shards == 0 ? 1 : config.shards) {
-  config_.threads = std::max(1, config_.threads);
-  config_.threads =
-      std::min<int>(config_.threads, static_cast<int>(shard_count_));
-  if (config_.lookahead < 1) {
-    config_.lookahead = 1;
-  }
-  sims_.reserve(shard_count_);
-  for (std::size_t k = 0; k < shard_count_; ++k) {
+ShardSet::ShardSet(std::size_t shards) {
+  const std::size_t n = shards == 0 ? 1 : shards;
+  sims_.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
     sims_.push_back(std::make_unique<Simulator>());
   }
   current_ = sims_[0].get();
-  if (config_.mode == Mode::kParallel) {
-    src_pending_.reset(new std::atomic<std::uint64_t>[shard_count_]);
-    for (std::size_t k = 0; k < shard_count_; ++k) {
-      src_pending_[k].store(0, std::memory_order_relaxed);
-    }
-    lanes_by_src_.resize(shard_count_);
-    inject_bufs_.resize(shard_count_);
-  }
-}
-
-ShardSet::~ShardSet() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stopping_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : workers_) {
-      t.join();
-    }
-  }
 }
 
 Simulator* ShardSet::shard(std::size_t k) {
-  UPR_INVARIANT(k < shard_count_, "shard index %zu out of range (%zu shards)",
-                k, shard_count_);
+  UPR_INVARIANT(k < sims_.size(), "shard index %zu out of range (%zu shards)",
+                k, sims_.size());
   return sims_[k].get();
-}
-
-void ShardSet::EnsureLane(std::size_t src, std::size_t dst) {
-  if (config_.mode != Mode::kParallel || src == dst) {
-    return;
-  }
-  UPR_INVARIANT(workers_.empty(),
-                "EnsureLane(%zu,%zu) after workers started — lanes are "
-                "topology-time only",
-                src, dst);
-  const std::uint64_t key = LaneKey(src, dst);
-  if (lanes_.find(key) != lanes_.end()) {
-    return;
-  }
-  auto lane = std::make_unique<Lane>(config_.ring_capacity);
-  lane->dst = dst;
-  lanes_by_src_[src].push_back(lane.get());
-  lanes_.emplace(key, std::move(lane));
 }
 
 void ShardSet::Post(std::size_t src, std::size_t dst, SimTime when,
                     std::function<void()> fn) {
-  UPR_INVARIANT(src < shard_count_ && dst < shard_count_,
+  UPR_INVARIANT(src < sims_.size() && dst < sims_.size(),
                 "Post shard out of range (%zu -> %zu, %zu shards)", src, dst,
-                shard_count_);
-  if (config_.mode != Mode::kParallel || src == dst) {
-    // The serial merge (and a self-post) schedules straight into the
-    // destination queue with the same timestamp the parallel path would use
-    // — this is what keeps the two modes trace-equivalent.
-    ++serial_posted_;
-    sims_[dst]->ScheduleAt(when, std::move(fn));
-    if (config_.mode == Mode::kSharded) {
-      merge_heap_.push({when, dst});
-    }
-    return;
-  }
-  Simulator* src_sim = sims_[src].get();
-  UPR_INVARIANT(when >= src_sim->Now() + config_.lookahead,
-                "cross-shard post at %lld violates lookahead %lld (src now "
-                "%lld)",
-                static_cast<long long>(when),
-                static_cast<long long>(config_.lookahead),
-                static_cast<long long>(src_sim->Now()));
-  auto it = lanes_.find(LaneKey(src, dst));
-  UPR_INVARIANT(it != lanes_.end(),
-                "cross-shard post %zu -> %zu without an EnsureLane at "
-                "topology build time",
-                src, dst);
-  Lane& ln = *it->second;
-  Handoff h;
-  h.when = when;
-  h.seq = ln.next_seq++;
-  h.src = src;
-  h.fn = std::move(fn);
-  ++ln.posted;
-  if (!ln.ring.TryPush(h)) {
-    ++ln.overflowed;
-    std::lock_guard<std::mutex> lk(ln.overflow_mu);
-    ln.overflow.push_back(std::move(h));
-  }
-  src_pending_[src].fetch_add(1, std::memory_order_release);
+                sims_.size());
+  ++stats_.posted;
+  sims_[dst]->ScheduleAt(when, std::move(fn));
+  merge_heap_.push({when, dst});
 }
 
-void ShardSet::DrainLanes() {
-  if (config_.mode != Mode::kParallel) {
-    return;
-  }
-  bool any = false;
-  for (std::size_t src = 0; src < shard_count_; ++src) {
-    if (src_pending_[src].exchange(0, std::memory_order_acquire) == 0) {
-      continue;
-    }
-    any = true;
-    for (Lane* ln : lanes_by_src_[src]) {
-      std::vector<Handoff>& bucket = inject_bufs_[ln->dst];
-      Handoff h;
-      while (ln->ring.TryPop(&h)) {
-        bucket.push_back(std::move(h));
-      }
-      std::lock_guard<std::mutex> lk(ln->overflow_mu);
-      for (Handoff& o : ln->overflow) {
-        bucket.push_back(std::move(o));
-      }
-      ln->overflow.clear();
-    }
-  }
-  if (!any) {
-    return;
-  }
-  for (std::size_t dst = 0; dst < shard_count_; ++dst) {
-    std::vector<Handoff>& bucket = inject_bufs_[dst];
-    if (bucket.empty()) {
-      continue;
-    }
-    // (when, src, seq) is a total order over handoffs: seq is per-(src,dst)
-    // FIFO, so two runs with different thread interleavings inject — and
-    // therefore execute — in exactly the same order.
-    std::sort(bucket.begin(), bucket.end(),
-              [](const Handoff& a, const Handoff& b) {
-                if (a.when != b.when) return a.when < b.when;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    for (Handoff& h : bucket) {
-      sims_[dst]->ScheduleAt(h.when, std::move(h.fn));
-      ++stats_injected_;
-    }
-    bucket.clear();
-  }
-}
-
-std::size_t ShardSet::RunShardedMerge(SimTime deadline) {
+std::size_t ShardSet::RunUntil(SimTime deadline) {
   // Rebuild the candidate heap from scratch: entries are (time, shard)
   // pairs, lazily invalidated — on pop we re-check the shard's real next
   // event time and re-push when the entry went stale (ran, cancelled, or
   // superseded). Ties execute lowest shard index first, which is the
-  // deterministic rule the two-run gate pins.
+  // deterministic rule the city golden pins.
   while (!merge_heap_.empty()) {
     merge_heap_.pop();
   }
-  for (std::size_t k = 0; k < shard_count_; ++k) {
+  for (std::size_t k = 0; k < sims_.size(); ++k) {
     SimTime t;
     if (sims_[k]->NextEventTime(&t)) {
       merge_heap_.push({t, k});
@@ -190,111 +62,15 @@ std::size_t ShardSet::RunShardedMerge(SimTime deadline) {
     current_ = sims_[k].get();
     sims_[k]->Step();
     ++n;
-    ++stats_merge_steps_;
+    ++stats_.merge_steps;
     if (sims_[k]->NextEventTime(&real)) {
       merge_heap_.push({real, k});
     }
   }
-  for (std::size_t k = 0; k < shard_count_; ++k) {
+  for (std::size_t k = 0; k < sims_.size(); ++k) {
     sims_[k]->RunUntil(deadline);  // settle every shard clock at deadline
   }
   return n;
-}
-
-void ShardSet::StartWorkers() {
-  if (!workers_.empty()) {
-    return;
-  }
-  workers_.reserve(static_cast<std::size_t>(config_.threads));
-  for (int i = 0; i < config_.threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-void ShardSet::WorkerLoop(int worker_index) {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    SimTime window_end;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk,
-                    [&] { return stopping_ || epoch_ != seen_epoch; });
-      if (stopping_) {
-        return;
-      }
-      seen_epoch = epoch_;
-      window_end = window_end_;
-    }
-    std::size_t n = 0;
-    for (std::size_t k = static_cast<std::size_t>(worker_index);
-         k < shard_count_; k += static_cast<std::size_t>(config_.threads)) {
-      if (enter_hook_) {
-        enter_hook_(k);
-      }
-      n += sims_[k]->RunUntil(window_end);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      window_executed_ += n;
-      ++workers_done_;
-    }
-    cv_done_.notify_one();
-  }
-}
-
-void ShardSet::RunWindowOnWorkers(SimTime window_end) {
-  std::unique_lock<std::mutex> lk(mu_);
-  window_end_ = window_end;
-  workers_done_ = 0;
-  window_executed_ = 0;
-  ++epoch_;
-  cv_work_.notify_all();
-  cv_done_.wait(lk, [&] { return workers_done_ == config_.threads; });
-}
-
-std::size_t ShardSet::RunParallel(SimTime deadline) {
-  StartWorkers();
-  std::size_t total = 0;
-  for (;;) {
-    DrainLanes();
-    bool any = false;
-    SimTime next = 0;
-    for (std::size_t k = 0; k < shard_count_; ++k) {
-      SimTime t;
-      if (sims_[k]->NextEventTime(&t) && (!any || t < next)) {
-        next = t;
-        any = true;
-      }
-    }
-    if (!any || next > deadline) {
-      break;
-    }
-    // Every event in [next, next + lookahead) can run without hearing from
-    // another shard: a handoff sent at time t arrives no earlier than
-    // t + lookahead >= next + lookahead, i.e. strictly past the window.
-    SimTime window_end = next + config_.lookahead - 1;
-    if (window_end > deadline || window_end < next) {  // clamp + overflow
-      window_end = deadline;
-    }
-    RunWindowOnWorkers(window_end);
-    total += window_executed_;
-    ++stats_windows_;
-  }
-  DrainLanes();
-  for (std::size_t k = 0; k < shard_count_; ++k) {
-    sims_[k]->RunUntil(deadline);
-  }
-  return total;
-}
-
-std::size_t ShardSet::RunUntil(SimTime deadline) {
-  switch (config_.mode) {
-    case Mode::kSharded:
-      return RunShardedMerge(deadline);
-    case Mode::kParallel:
-      return RunParallel(deadline);
-  }
-  return 0;
 }
 
 bool ShardSet::Idle() {
@@ -305,20 +81,6 @@ bool ShardSet::Idle() {
     }
   }
   return true;
-}
-
-ShardStats ShardSet::stats() const {
-  ShardStats s;
-  s.posted = serial_posted_;
-  s.injected = stats_injected_;
-  s.windows = stats_windows_;
-  s.merge_steps = stats_merge_steps_;
-  for (const auto& [key, ln] : lanes_) {
-    (void)key;
-    s.posted += ln->posted;
-    s.ring_overflow += ln->overflowed;
-  }
-  return s;
 }
 
 std::uint64_t ShardSet::TotalEventsScheduled() const {

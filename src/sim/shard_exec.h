@@ -1,127 +1,64 @@
-// upr — sharded event execution + conservative parallel DES.
+// upr — sharded event execution.
 //
 // The city-scale topology decomposes, as the NS-2 multi-channel model does,
 // into radio channels that only interact through gateways and point-to-point
 // trunks: a channel's MAC, serial lines and stations never touch another
 // channel's state directly, and every cross-channel path crosses a link with
-// a real, bounded latency. A ShardSet exploits that: one Simulator (and so
-// one event heap) per shard, with cross-shard events carried as
-// explicit handoffs instead of shared-queue inserts. Two execution modes:
-//
-//   * kSharded — executed on one thread as a globally time-ordered merge (a
-//     lazy min-heap over shard clocks; equal timestamps break ties by shard
-//     index). The default for `--topo`, and the reference: its city output
-//     is pinned by the tests/golden/city_4x6_seed7 capture and summary.
-//   * kParallel — conservative parallel DES: the coordinator computes a
-//     window [next, next + lookahead), worker threads run their shards'
-//     events inside the window concurrently, and handoffs — which the
-//     lookahead guarantees land strictly beyond the window — are injected
-//     at the barrier, sorted by (when, src shard, ring seq) so execution is
-//     deterministic for a fixed seed and any thread count.
-//
-// Lookahead comes from the topology: the minimum over all cross-shard links
-// of (propagation delay + one serial byte time); a handoff posted at time t
-// may not be scheduled before t + lookahead, and Post() enforces that with
-// an invariant. Handoffs ride per-(src,dst) SPSC rings (spsc_ring.h),
-// registered at topology build time via EnsureLane; a full ring falls back
-// to a mutex-guarded overflow list, and the barrier merge re-sorts by
-// sequence number so the cold path cannot reorder anything.
+// a real, bounded latency. A ShardSet keeps one Simulator (and so one event
+// heap) per shard, with cross-shard events carried as explicit handoffs
+// instead of shared-queue inserts, and runs them all on one thread as a
+// globally time-ordered merge: a lazy min-heap over shard clocks, equal
+// timestamps breaking by lowest shard index. Its city output is pinned by
+// the tests/golden/city_4x6_seed7 capture and summary.
 #ifndef SRC_SIM_SHARD_EXEC_H_
 #define SRC_SIM_SHARD_EXEC_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
-#include "src/sim/spsc_ring.h"
 
 namespace upr {
 
 struct ShardStats {
-  std::uint64_t posted = 0;         // cross-shard handoffs posted
-  std::uint64_t ring_overflow = 0;  // handoffs that took the cold mutex path
-  std::uint64_t injected = 0;       // handoffs injected at barriers
-  std::uint64_t windows = 0;        // parallel windows executed
-  std::uint64_t merge_steps = 0;    // events run by the kSharded merge loop
+  std::uint64_t posted = 0;       // cross-shard handoffs posted
+  std::uint64_t merge_steps = 0;  // events run by the merge loop
 };
 
 class ShardSet {
  public:
-  enum class Mode { kSharded, kParallel };
-
-  struct Config {
-    std::size_t shards = 1;
-    Mode mode = Mode::kSharded;
-    // Worker threads (kParallel only; clamped to [1, shards]).
-    int threads = 1;
-    // Conservative lookahead (ns). kParallel's Post() rejects handoffs
-    // closer than this.
-    SimTime lookahead = 1;
-    // Per-(src,dst) SPSC ring capacity in entries.
-    std::size_t ring_capacity = 256;
-  };
-
-  explicit ShardSet(const Config& config);
-  ~ShardSet();
+  explicit ShardSet(std::size_t shards);
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
 
-  std::size_t shard_count() const { return shard_count_; }
-  Mode mode() const { return config_.mode; }
-  SimTime lookahead() const { return config_.lookahead; }
-  int threads() const { return config_.threads; }
+  std::size_t shard_count() const { return sims_.size(); }
 
-  // The simulator backing shard `k`. Construction order is identical
-  // across modes, which is what keeps seeded component construction
-  // byte-stable.
+  // The simulator backing shard `k`.
   Simulator* shard(std::size_t k);
 
-  // The simulator whose event is currently executing (the merge cursor in
-  // kSharded). Valid on the executing thread only; the tracer's clock
-  // override points here so ring/pcap timestamps come from the shard that
-  // actually recorded the crossing. Parallel-mode workers never touch it —
-  // they install per-shard tracers instead.
-  Simulator* current_sim() const { return current_; }
+  // The clock of the shard whose event is executing (the merge cursor).
+  // The tracer's clock override reads it so ring/pcap timestamps come from
+  // the shard that actually recorded the crossing.
   SimTime CurrentTime() const { return current_->Now(); }
 
-  // Registers the (src,dst) handoff lane. Topology build time only (before
-  // workers start); a kParallel Post without a registered lane is an
-  // invariant failure. No-op in kSharded and for src == dst.
-  void EnsureLane(std::size_t src, std::size_t dst);
-
-  // Schedules `fn` on shard `dst` at absolute sim time `when`. Must be
-  // called from an event executing on shard `src`. In kParallel mode `when`
-  // must be at least the source clock plus the lookahead (invariant-checked);
-  // kSharded schedules directly and keeps the same timestamps.
+  // Schedules `fn` on shard `dst` at absolute sim time `when`. Called from
+  // an event executing on shard `src`.
   void Post(std::size_t src, std::size_t dst, SimTime when,
             std::function<void()> fn);
 
-  // Installed hook runs on the worker thread before a shard executes a
-  // parallel window; the city runner uses it to install the shard's
-  // thread_local ambient tracer. kParallel only; set before RunUntil.
-  void set_shard_enter_hook(std::function<void(std::size_t)> hook) {
-    enter_hook_ = std::move(hook);
-  }
-
-  // Runs all shards up to and including `deadline`, per the mode. Returns
-  // the number of events executed across shards.
+  // Runs all shards up to and including `deadline`. Returns the number of
+  // events executed across shards.
   std::size_t RunUntil(SimTime deadline);
 
   // True when no shard has a pending event (call between RunUntil calls).
   bool Idle();
 
-  // Aggregated handoff/window counters (call when quiescent).
-  ShardStats stats() const;
+  ShardStats stats() const { return stats_; }
 
   // Aggregate counters across the shards' simulators.
   std::uint64_t TotalEventsScheduled() const;
@@ -129,82 +66,16 @@ class ShardSet {
   std::uint64_t TotalPopCompares() const;
 
  private:
-  struct Handoff {
-    SimTime when = 0;
-    std::uint64_t seq = 0;  // per-(src,dst) FIFO sequence
-    std::size_t src = 0;
-    std::function<void()> fn;
-  };
-  // One handoff lane per registered (src,dst) pair: the hot SPSC ring plus
-  // the cold overflow list and producer-owned counters (only the worker
-  // running `src` touches next_seq/posted/overflowed).
-  struct Lane {
-    explicit Lane(std::size_t cap) : ring(cap) {}
-    SpscRing<Handoff> ring;
-    std::size_t dst = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t posted = 0;
-    std::uint64_t overflowed = 0;
-    std::mutex overflow_mu;
-    std::vector<Handoff> overflow;
-  };
-
-  static std::uint64_t LaneKey(std::size_t src, std::size_t dst) {
-    return (static_cast<std::uint64_t>(src) << 32) |
-           static_cast<std::uint64_t>(dst);
-  }
-
-  std::size_t RunShardedMerge(SimTime deadline);
-  std::size_t RunParallel(SimTime deadline);
-
-  // Barrier-time drain: moves every pending handoff into its destination
-  // simulator, in (when, src, seq) order. Runs on the coordinator with all
-  // workers parked.
-  void DrainLanes();
-
-  // Parallel worker machinery.
-  void StartWorkers();
-  void WorkerLoop(int worker_index);
-  void RunWindowOnWorkers(SimTime window_end);
-
-  Config config_;
-  std::size_t shard_count_;
   std::vector<std::unique_ptr<Simulator>> sims_;  // one per shard
-  std::function<void(std::size_t)> enter_hook_;
   Simulator* current_ = nullptr;
 
-  // Handoff lanes (kParallel). The map's structure is frozen once workers
-  // start; per-src dirty counters let the barrier skip untouched rows.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Lane>> lanes_;
-  std::vector<std::vector<Lane*>> lanes_by_src_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> src_pending_;
-  std::vector<std::vector<Handoff>> inject_bufs_;  // per-dst barrier scratch
-
-  // kSharded merge state: lazy min-heap of (next event time, shard).
+  // Lazy min-heap of (next event time, shard).
   using MergeEntry = std::pair<SimTime, std::size_t>;
   std::priority_queue<MergeEntry, std::vector<MergeEntry>,
                       std::greater<MergeEntry>>
       merge_heap_;
 
-  // Counters. serial_posted_/injected/windows/merge_steps are touched only
-  // by the coordinating thread; per-lane counters only by their producer.
-  std::uint64_t serial_posted_ = 0;
-  std::uint64_t stats_injected_ = 0;
-  std::uint64_t stats_windows_ = 0;
-  std::uint64_t stats_merge_steps_ = 0;
-
-  // Worker pool (kParallel). Workers sleep between windows; an epoch bump
-  // under the mutex publishes the next window_end and doubles as the
-  // happens-before edge that hands shard state worker->coordinator->worker.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;
-  SimTime window_end_ = 0;
-  int workers_done_ = 0;
-  std::size_t window_executed_ = 0;  // summed under mu_
-  bool stopping_ = false;
+  ShardStats stats_;
 };
 
 }  // namespace upr

@@ -16,10 +16,10 @@
 // hook is guarded by a single `Active() != nullptr` branch — the disabled
 // cost per layer crossing is one predictable-not-taken branch. All strings,
 // copies and formatting happen only inside the taken branch. The ambient
-// tracer (like BufLayerScope's ambient layer) is thread_local: each shard
-// worker of the parallel city executor installs its own shard's tracer, so
-// concurrent shards record into disjoint rings/files without locks, and the
-// classic single-threaded scenarios behave exactly as before.
+// tracer (like BufLayerScope's ambient layer) is thread_local: it belongs to
+// the thread running the simulation, so a helper thread that calls the same
+// codecs concurrently (the bridge tests' external KISS client encodes
+// frames while the simulator runs) sees no tracer instead of racing it.
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
 
@@ -177,13 +177,14 @@ class Tracer {
 };
 
 namespace detail {
-// thread_local: each parallel-city worker thread carries its own ambient
-// tracer and interface scope; the main thread's slots behave exactly like
-// the old process-wide globals. Function-local thread_locals behind inline
-// accessors, NOT `extern thread_local` variables — header-inline code
-// touching an extern TLS variable goes through the compiler's TLS wrapper
-// and trips a GCC UBSan false positive ("store to null pointer"); with the
-// definition visible here the access compiles to a plain TLS load.
+// thread_local so that only the simulation thread sees its ambient tracer
+// and interface scope; a helper thread running the codecs at the same time
+// (see the file comment) reads its own empty slots. Function-local
+// thread_locals behind inline accessors, NOT `extern thread_local`
+// variables — header-inline code touching an extern TLS variable goes
+// through the compiler's TLS wrapper and trips a GCC UBSan false positive
+// ("store to null pointer"); with the definition visible here the access
+// compiles to a plain TLS load.
 inline Tracer*& TracerSlot() {
   static thread_local Tracer* tracer = nullptr;
   return tracer;
@@ -202,7 +203,7 @@ inline Dir& IfDirSlot() {
 // a disabled tracer costs.
 inline Tracer* Active() { return detail::TracerSlot(); }
 
-// Installs `t` as the process-wide tracer (replacing any previous one).
+// Installs `t` as this thread's ambient tracer (replacing any previous one).
 void Install(Tracer* t);
 // Clears the installation if `t` is the current tracer; no-op otherwise.
 void Uninstall(Tracer* t);

@@ -49,9 +49,9 @@ namespace {
 
 // The slab free list. Blocks are vectors whose capacity is exactly
 // kBufSlabSize (they were first allocated by TakeStorage below), so a
-// recycled block's resize() never reallocates. thread_local so each parallel
-// shard worker recycles its own slabs lock-free; buffers never migrate
-// between threads mid-flight (cross-shard handoff copies payload bytes).
+// recycled block's resize() never reallocates. thread_local so a helper
+// thread encoding frames while the simulator runs (the bridge tests'
+// external KISS client) recycles its own slabs instead of racing these.
 thread_local std::vector<Bytes> g_buf_pool;
 thread_local BufPoolStats g_buf_pool_stats;
 

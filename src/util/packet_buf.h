@@ -47,9 +47,9 @@ struct BufLayerStats {
   std::uint64_t prepend_reallocs = 0;  // prepends that exhausted headroom
 };
 
-// Per-layer counters (per-thread: the classic scenarios are single-threaded
-// and see the old process-wide behaviour; each parallel-city shard worker
-// accumulates its own counters without synchronization).
+// Per-layer counters, per-thread: the simulation thread's counters never
+// race a helper thread that encodes frames concurrently (the bridge tests'
+// external KISS client does, through Ax25Frame::Encode/KissEncodeData).
 BufLayerStats& BufStatsFor(BufLayer layer);
 BufLayerStats BufStatsTotal();
 void ResetBufStats();

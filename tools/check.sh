@@ -11,29 +11,23 @@
 #        metric that moves by one count is a red diff; wall clocks get a
 #        tolerance band.
 #
-# Job 4: TSan build of the parallel-DES executor surface — the sharded/
-#        parallel tests, the city determinism gates, and a bench_city smoke —
-#        so data races in the handoff rings and worker barriers fail CI
-#        instead of corrupting a seeded run once in a thousand.
-#
-# Job 5: fuzz smoke — -DUPR_FUZZ=ON build (libFuzzer under clang, the
+# Job 4: fuzz smoke — -DUPR_FUZZ=ON build (libFuzzer under clang, the
 #        standalone mutating driver elsewhere, ASan+UBSan either way), seed
 #        corpora extracted from the flight-recorder goldens, then every
 #        fuzz_<target> run for a bounded time. A crash leaves its input in
 #        build-fuzz/crash-* and fails the job.
 #
-# Job 6: live-bridge interop smoke — `uprsim --workload live` surfaces a
+# Job 5: live-bridge interop smoke — `uprsim --workload live` surfaces a
 #        bridged port as a TCP KISS listener under wall-clock pacing, and the
 #        unmodified external client tools/kiss_client completes a KISS-param +
 #        LAPB connect/ping/disconnect round against it. The bridged port's
 #        capture must match tests/golden/interop_live.pcapng in frame content
 #        and order (timestamps are wall-dependent and not compared).
 #
-# Usage: tools/check.sh [--no-asan] [--asan-only] [--tsan] [--fuzz] [--quick]
+# Usage: tools/check.sh [--no-asan] [--asan-only] [--fuzz] [--quick]
 #                       [--interop] [--ledger-only] [--no-ledger] [--rebaseline]
 #   --no-asan      run only the regular job (plus the ledger job)
 #   --asan-only    run only the sanitizer job (CI matrix uses this)
-#   --tsan         run only the ThreadSanitizer job (CI matrix uses this)
 #   --fuzz         run only the fuzz smoke (CI fuzz lane uses this; budget
 #                  per target via UPR_FUZZ_TIME, default 60 seconds)
 #   --interop      run only the live-bridge interop smoke (CI interop lane
@@ -63,7 +57,6 @@ cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 run_regular=1
 run_asan=1
-run_tsan=0
 run_fuzz=0
 run_interop=0
 run_bench=1
@@ -78,12 +71,6 @@ for arg in "$@"; do
     --asan-only)
       run_regular=0
       run_ledger=0
-      ;;
-    --tsan)
-      run_regular=0
-      run_asan=0
-      run_ledger=0
-      run_tsan=1
       ;;
     --fuzz)
       run_regular=0
@@ -114,7 +101,7 @@ for arg in "$@"; do
       ;;
     *)
       echo "unknown option: $arg" >&2
-      echo "usage: tools/check.sh [--no-asan] [--asan-only] [--tsan] [--fuzz]" \
+      echo "usage: tools/check.sh [--no-asan] [--asan-only] [--fuzz]" \
         "[--interop] [--quick] [--ledger-only] [--no-ledger] [--rebaseline]" >&2
       exit 2
       ;;
@@ -275,7 +262,7 @@ run_v20_golden_smoke() {
   done
 }
 
-# Live-bridge interop smoke (job 6): a genuinely external process attaches to
+# Live-bridge interop smoke (job 5): a genuinely external process attaches to
 # the bridge over TCP, speaks raw KISS, and works the resident station —
 # KISS parameter commands, SABM/UA, one I-frame ICMP ping, RR ack, DISC/UA.
 # uprsim must exit 0 (the station answered the echo and the client hung up),
@@ -412,28 +399,6 @@ if [ "$run_asan" = 1 ]; then
     echo "=== tier-1: v2.0 byte-identity vs pinned goldens under ASan ==="
     run_v20_golden_smoke ./build-asan
   fi
-fi
-
-if [ "$run_tsan" = 1 ]; then
-  echo "=== tier-1: TSan build + parallel-DES tests ==="
-  # Reports land in build-tsan/tsan-report.<pid> so CI can upload them as
-  # failure artifacts; halt_on_error turns the first race into a nonzero
-  # exit instead of a warning that scrolls past.
-  TSAN_OPTIONS="halt_on_error=1 log_path=$(pwd)/build-tsan/tsan-report ${TSAN_OPTIONS:-}"
-  export TSAN_OPTIONS
-  # shellcheck disable=SC2086
-  cmake -B build-tsan -S . -DUPR_SANITIZE=thread \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo $extra_flags >/dev/null
-  # Only the threaded surface: the serial stack is already covered by the
-  # regular and ASan jobs, and a full TSan build would double CI time for
-  # code that never spawns a thread.
-  cmake --build build-tsan -j"${jobs}" \
-    --target shard_test topo_test uprsim tracediff bench_city
-  ctest --test-dir build-tsan --output-on-failure -j"${jobs}" \
-    -R 'shard_test|topo_test|uprsim_topo_rejects_bad_args|uprsim_city'
-
-  echo "=== tier-1: bench_city smoke under TSan (parallel sweep) ==="
-  run_smoke ./build-tsan/bench/bench_city
 fi
 
 if [ "$run_fuzz" = 1 ]; then

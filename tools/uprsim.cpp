@@ -18,10 +18,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-
+#include <functional>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "src/apps/telnet.h"
 #include "src/bridge/bridge.h"
@@ -66,7 +65,6 @@ struct Options {
   std::string log = "warn";
   std::string topo;             // e.g. "city:8x20"
   topo::CitySpec city_spec;     // validated in ParseOptions
-  int parallel = 0;             // 0 = serial sharded merge
   bool realtime = false;        // pace the schedule against the wall clock
   double time_scale = 1.0;      // simulated seconds per wall second
   std::string bridge_pty;       // port name to surface as a PTY
@@ -113,9 +111,6 @@ void Usage(const char* argv0) {
       "                     the testbed: C radio channels (1..250) of S\n"
       "                     stations (1..2000) each, one gateway per channel,\n"
       "                     trunk backbone, seeded ping traffic\n"
-      "  --parallel N       run the city topology on N worker threads\n"
-      "                     (conservative parallel DES; deterministic for a\n"
-      "                     fixed seed + thread count)\n"
       "  --realtime         pace events against the wall clock so external\n"
       "                     processes can take part (ping/tcp/telnet/live)\n"
       "  --time-scale X     simulated seconds per wall second (default 1;\n"
@@ -222,8 +217,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
         std::fprintf(stderr, "invalid --topo spec: %s\n", error.c_str());
         return false;
       }
-    } else if (arg == "--parallel") {
-      opt->parallel = static_cast<int>(count(1, 256, "an integer in [1, 256]"));
     } else if (arg == "--realtime") {
       opt->realtime = true;
     } else if (arg == "--time-scale") {
@@ -270,6 +263,72 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
   return true;
 }
 
+// --- Shared setup and epilogue -----------------------------------------------
+
+// The --trace/--trace-ring/--trace-snap flight recorder of one run, installed
+// as the ambient tracer while it lives. Does nothing without a --trace* flag.
+class TraceSession {
+ public:
+  // `clock`, when given, overrides `sim`'s clock for timestamps. Returns
+  // false, after saying why, when the pcapng file cannot be opened.
+  bool Start(const Options& opt, Simulator* sim,
+             std::function<SimTime()> clock = nullptr) {
+    if (!opt.trace_enabled) {
+      return true;
+    }
+    trace::TracerConfig tcfg;
+    tcfg.ring_capacity = opt.trace_ring;
+    tcfg.snaplen = opt.trace_snap;
+    tcfg.pcap_path = opt.trace_file;
+    tracer_ = std::make_unique<trace::Tracer>(sim, tcfg);
+    if (!tracer_->pcap_ok()) {
+      std::fprintf(stderr, "cannot open trace file %s\n",
+                   opt.trace_file.c_str());
+      return false;
+    }
+    tracer_->set_clock(std::move(clock));
+    install_ = std::make_unique<trace::ScopedInstall>(tracer_.get());
+    return true;
+  }
+
+  // Flushes the capture; a failed workload also dumps the ring to stderr.
+  void Finish(bool workload_ok) {
+    if (tracer_ == nullptr) {
+      return;
+    }
+    tracer_->Flush();
+    if (!workload_ok) {
+      trace::DumpActiveRing(stderr);
+    }
+  }
+
+  // The --netstat trace counters, when tracing.
+  void PrintStats() const {
+    if (tracer_ != nullptr) {
+      std::printf("\n%s", FormatTrace(*tracer_).c_str());
+    }
+  }
+
+ private:
+  std::unique_ptr<trace::Tracer> tracer_;
+  std::unique_ptr<trace::ScopedInstall> install_;
+};
+
+void PrintChannel(const RadioChannel& channel) {
+  std::printf("\n=== channel ===\n");
+  std::printf("transmissions %llu, collisions %llu, utilization %.1f%%\n",
+              static_cast<unsigned long long>(channel.transmissions()),
+              static_cast<unsigned long long>(channel.collisions()),
+              channel.Utilization() * 100.0);
+}
+
+// Prints the closing verdict line and returns the matching exit status.
+int ReportWorkload(const std::string& name, bool workload_ok) {
+  std::printf("\nworkload %s: %s\n", name.c_str(),
+              workload_ok ? "completed" : "FAILED");
+  return workload_ok ? 0 : 1;
+}
+
 // --- IP-over-VC workload -----------------------------------------------------
 //
 // Two KA9Q-style VC stations (IP over AX.25 connected mode) on one channel,
@@ -314,19 +373,9 @@ int RunVcScenario(const Options& opt) {
   a->vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 2), b->callsign());
   b->vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 1), a->callsign());
 
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::ScopedInstall> trace_install;
-  if (opt.trace_enabled) {
-    trace::TracerConfig tcfg;
-    tcfg.ring_capacity = opt.trace_ring;
-    tcfg.snaplen = opt.trace_snap;
-    tcfg.pcap_path = opt.trace_file;
-    tracer = std::make_unique<trace::Tracer>(&sim, tcfg);
-    if (!tracer->pcap_ok()) {
-      std::fprintf(stderr, "cannot open trace file %s\n", opt.trace_file.c_str());
-      return 2;
-    }
-    trace_install = std::make_unique<trace::ScopedInstall>(tracer.get());
+  TraceSession tracing;
+  if (!tracing.Start(opt, &sim)) {
+    return 2;
   }
   std::unique_ptr<ChannelMonitor> monitor;
   if (opt.monitor) {
@@ -358,30 +407,18 @@ int RunVcScenario(const Options& opt) {
     }
   }
 
-  if (tracer != nullptr) {
-    tracer->Flush();
-    if (!workload_ok) {
-      trace::DumpActiveRing(stderr);
-    }
-  }
+  tracing.Finish(workload_ok);
 
-  std::printf("\n=== channel ===\n");
-  std::printf("transmissions %llu, collisions %llu, utilization %.1f%%\n",
-              static_cast<unsigned long long>(channel.transmissions()),
-              static_cast<unsigned long long>(channel.collisions()),
-              channel.Utilization() * 100.0);
+  PrintChannel(channel);
   if (opt.netstat) {
     std::printf("\n%s", FormatNetstat(a->stack()).c_str());
     std::printf("%s", FormatAx25Link(a->vc()->link(), "vca/vc0").c_str());
     std::printf("\n%s", FormatNetstat(b->stack()).c_str());
     std::printf("%s", FormatAx25Link(b->vc()->link(), "vcb/vc0").c_str());
     std::printf("\n%s", FormatBufStats().c_str());
-    if (tracer != nullptr) {
-      std::printf("\n%s", FormatTrace(*tracer).c_str());
-    }
+    tracing.PrintStats();
   }
-  std::printf("\nworkload vc: %s\n", workload_ok ? "completed" : "FAILED");
-  return workload_ok ? 0 : 1;
+  return ReportWorkload("vc", workload_ok);
 }
 
 // --- Live bridge workload ----------------------------------------------------
@@ -427,19 +464,9 @@ int RunLiveScenario(const Options& opt) {
   station.vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 9),
                                 *Ax25Address::Parse("KD7EX"));
 
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::ScopedInstall> trace_install;
-  if (opt.trace_enabled) {
-    trace::TracerConfig tcfg;
-    tcfg.ring_capacity = opt.trace_ring;
-    tcfg.snaplen = opt.trace_snap;
-    tcfg.pcap_path = opt.trace_file;
-    tracer = std::make_unique<trace::Tracer>(&sim, tcfg);
-    if (!tracer->pcap_ok()) {
-      std::fprintf(stderr, "cannot open trace file %s\n", opt.trace_file.c_str());
-      return 2;
-    }
-    trace_install = std::make_unique<trace::ScopedInstall>(tracer.get());
+  TraceSession tracing;
+  if (!tracing.Start(opt, &sim)) {
+    return 2;
   }
   std::unique_ptr<ChannelMonitor> monitor;
   if (opt.monitor) {
@@ -504,18 +531,9 @@ int RunLiveScenario(const Options& opt) {
   exec.RunUntil(Seconds(opt.duration), done);
   const bool workload_ok = answered();
 
-  if (tracer != nullptr) {
-    tracer->Flush();
-    if (!workload_ok) {
-      trace::DumpActiveRing(stderr);
-    }
-  }
+  tracing.Finish(workload_ok);
 
-  std::printf("\n=== channel ===\n");
-  std::printf("transmissions %llu, collisions %llu, utilization %.1f%%\n",
-              static_cast<unsigned long long>(channel.transmissions()),
-              static_cast<unsigned long long>(channel.collisions()),
-              channel.Utilization() * 100.0);
+  PrintChannel(channel);
   if (opt.netstat) {
     std::printf("\n%s", FormatNetstat(station.stack()).c_str());
     std::printf("%s", FormatAx25Link(station.vc()->link(), "live/vc0").c_str());
@@ -537,23 +555,17 @@ int RunLiveScenario(const Options& opt) {
                 static_cast<unsigned long long>(rs.events_executed),
                 ToSeconds(rs.max_lag) * 1e3);
     std::printf("\n%s", FormatBufStats().c_str());
-    if (tracer != nullptr) {
-      std::printf("\n%s", FormatTrace(*tracer).c_str());
-    }
+    tracing.PrintStats();
   }
-  std::printf("\nworkload live: %s\n", workload_ok ? "completed" : "FAILED");
-  return workload_ok ? 0 : 1;
+  return ReportWorkload("live", workload_ok);
 }
 
 // --- City-scale topology ----------------------------------------------------
 //
 // `--topo city:CxS` swaps the testbed for the upr::topo generator: C radio
 // channels of S stations behind per-channel gateways and a trunk backbone,
-// executed per the sharding mode — the default single-thread sharded merge,
-// or conservative parallel DES (--parallel N). Tracing: the sharded merge
-// writes one pcapng through a tracer whose clock follows the executing
-// shard; parallel mode writes one file per shard (FILE.shard<k>.pcapng),
-// each tracer installed thread-local on the shard's worker.
+// one shard per channel, run as one time-ordered merge. Tracing writes one
+// pcapng through a tracer whose clock follows the executing shard.
 int RunCityScenario(const Options& opt) {
   if (!opt.record_faults.empty() || !opt.replay_faults.empty()) {
     std::fprintf(stderr, "fault record/replay is not supported for --topo\n");
@@ -565,9 +577,6 @@ int RunCityScenario(const Options& opt) {
   }
   topo::CityConfig cfg;
   cfg.spec = opt.city_spec;
-  cfg.mode = opt.parallel > 0 ? ShardSet::Mode::kParallel
-                              : ShardSet::Mode::kSharded;
-  cfg.threads = opt.parallel > 0 ? opt.parallel : 1;
   cfg.seed = opt.seed;
   cfg.radio_bit_rate = opt.rate;
   if (opt.silo > 0) {
@@ -580,92 +589,35 @@ int RunCityScenario(const Options& opt) {
     return 1;
   }
 
-  // Tracing. Serial modes: one file, clock override follows the merge
-  // cursor. Parallel: one tracer per shard, installed thread_local by the
-  // shard-enter hook so concurrent shards never share a tracer.
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::ScopedInstall> trace_install;
-  std::vector<std::unique_ptr<trace::Tracer>> shard_tracers;
-  if (opt.trace_enabled) {
-    trace::TracerConfig tcfg;
-    tcfg.ring_capacity = opt.trace_ring;
-    tcfg.snaplen = opt.trace_snap;
-    if (cfg.mode != ShardSet::Mode::kParallel) {
-      tcfg.pcap_path = opt.trace_file;
-      tracer = std::make_unique<trace::Tracer>(city.shards().shard(0), tcfg);
-      if (!opt.trace_file.empty() && !tracer->pcap_ok()) {
-        std::fprintf(stderr, "cannot open trace file %s\n",
-                     opt.trace_file.c_str());
-        return 2;
-      }
-      ShardSet* set = &city.shards();
-      tracer->set_clock([set] { return set->CurrentTime(); });
-      trace_install = std::make_unique<trace::ScopedInstall>(tracer.get());
-    } else {
-      std::string base = opt.trace_file;
-      const std::string ext = ".pcapng";
-      if (base.size() > ext.size() &&
-          base.compare(base.size() - ext.size(), ext.size(), ext) == 0) {
-        base.resize(base.size() - ext.size());
-      }
-      for (std::size_t k = 0; k < city.shards().shard_count(); ++k) {
-        trace::TracerConfig per = tcfg;
-        if (!opt.trace_file.empty()) {
-          per.pcap_path = base + ".shard" + std::to_string(k) + ext;
-        }
-        auto t = std::make_unique<trace::Tracer>(city.shards().shard(k), per);
-        if (!per.pcap_path.empty() && !t->pcap_ok()) {
-          std::fprintf(stderr, "cannot open trace file %s\n",
-                       per.pcap_path.c_str());
-          return 2;
-        }
-        shard_tracers.push_back(std::move(t));
-      }
-      // Warm the panic-hook registration on the main thread before workers
-      // race to Install their shard tracers.
-      trace::Install(nullptr);
-      auto* tracers = &shard_tracers;
-      city.shards().set_shard_enter_hook(
-          [tracers](std::size_t k) { trace::Install((*tracers)[k].get()); });
-    }
+  ShardSet& shards = city.shards();
+  TraceSession tracing;
+  if (!tracing.Start(opt, shards.shard(0),
+                     [&shards] { return shards.CurrentTime(); })) {
+    return 2;
   }
 
   const std::size_t executed = city.Run(Seconds(opt.duration));
 
-  if (tracer != nullptr) {
-    tracer->Flush();
-  }
-  for (auto& t : shard_tracers) {
-    t->Flush();
-  }
-
   const topo::ChannelTraffic total = city.TrafficTotal();
   const bool workload_ok = total.pings_sent > 0 && total.pings_ok > 0;
+  tracing.Finish(workload_ok);
 
   std::printf("%s", city.FormatSummary().c_str());
   if (opt.netstat) {
-    const ShardStats stats = city.shards().stats();
+    const ShardStats stats = shards.stats();
     std::printf(
-        "shards %zu mode %s threads %d lookahead %lld ns\n"
+        "shards %zu\n"
         "events executed %zu scheduled %llu, %.2f heap compares/pop\n"
-        "handoffs posted %llu injected %llu ring-overflow %llu windows %llu "
-        "merge-steps %llu\n",
-        city.shards().shard_count(),
-        cfg.mode == ShardSet::Mode::kParallel ? "parallel" : "sharded",
-        city.shards().threads(), static_cast<long long>(city.lookahead()),
-        executed,
-        static_cast<unsigned long long>(city.shards().TotalEventsScheduled()),
+        "handoffs posted %llu merge-steps %llu\n",
+        shards.shard_count(), executed,
+        static_cast<unsigned long long>(shards.TotalEventsScheduled()),
         executed == 0 ? 0.0
-                      : static_cast<double>(city.shards().TotalPopCompares()) /
+                      : static_cast<double>(shards.TotalPopCompares()) /
                             static_cast<double>(executed),
         static_cast<unsigned long long>(stats.posted),
-        static_cast<unsigned long long>(stats.injected),
-        static_cast<unsigned long long>(stats.ring_overflow),
-        static_cast<unsigned long long>(stats.windows),
         static_cast<unsigned long long>(stats.merge_steps));
   }
-  std::printf("\nworkload city: %s\n", workload_ok ? "completed" : "FAILED");
-  return workload_ok ? 0 : 1;
+  return ReportWorkload("city", workload_ok);
 }
 
 }  // namespace
@@ -689,10 +641,6 @@ int main(int argc, char** argv) {
   }
   if (!opt.record_faults.empty() && !opt.replay_faults.empty()) {
     std::fprintf(stderr, "--record-faults and --replay-faults are exclusive\n");
-    return 2;
-  }
-  if (opt.topo.empty() && opt.parallel > 0) {
-    std::fprintf(stderr, "--parallel needs --topo\n");
     return 2;
   }
   const bool has_bridge =
@@ -770,19 +718,9 @@ int main(int argc, char** argv) {
     fault_install = std::make_unique<fault::ScopedInstall>(faults.get());
   }
 
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::ScopedInstall> trace_install;
-  if (opt.trace_enabled) {
-    trace::TracerConfig tcfg;
-    tcfg.ring_capacity = opt.trace_ring;
-    tcfg.snaplen = opt.trace_snap;
-    tcfg.pcap_path = opt.trace_file;
-    tracer = std::make_unique<trace::Tracer>(&tb.sim(), tcfg);
-    if (!tracer->pcap_ok()) {
-      std::fprintf(stderr, "cannot open trace file %s\n", opt.trace_file.c_str());
-      return 2;
-    }
-    trace_install = std::make_unique<trace::ScopedInstall>(tracer.get());
+  TraceSession tracing;
+  if (!tracing.Start(opt, &tb.sim())) {
+    return 2;
   }
 
   std::unique_ptr<ChannelMonitor> monitor;
@@ -898,12 +836,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (tracer != nullptr) {
-    tracer->Flush();
-    if (!workload_ok) {
-      trace::DumpActiveRing(stderr);
-    }
-  }
+  tracing.Finish(workload_ok);
 
   bool replay_clean = true;
   if (faults != nullptr) {
@@ -941,11 +874,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n=== channel ===\n");
-  std::printf("transmissions %llu, collisions %llu, utilization %.1f%%\n",
-              static_cast<unsigned long long>(tb.channel().transmissions()),
-              static_cast<unsigned long long>(tb.channel().collisions()),
-              tb.channel().Utilization() * 100.0);
+  PrintChannel(tb.channel());
 
   if (opt.netstat) {
     std::printf("\n%s", FormatNetstat(tb.gateway().stack()).c_str());
@@ -959,19 +888,13 @@ int main(int argc, char** argv) {
       std::printf("%s", FormatDriverStats(*tb.pc(i).radio_if()).c_str());
     }
     std::printf("\n%s", FormatBufStats().c_str());
-    if (tracer != nullptr) {
-      std::printf("\n%s", FormatTrace(*tracer).c_str());
-    }
+    tracing.PrintStats();
     if (faults != nullptr) {
       std::printf("\n%s", FormatFaults(*faults).c_str());
     }
     std::printf("\n%s", FormatSimulator(tb.sim()).c_str());
   }
 
-  std::printf("\nworkload %s: %s\n", opt.workload.c_str(),
-              workload_ok ? "completed" : "FAILED");
-  if (!replay_clean) {
-    return 3;
-  }
-  return workload_ok ? 0 : 1;
+  const int status = ReportWorkload(opt.workload, workload_ok);
+  return replay_clean ? status : 3;
 }
