@@ -64,7 +64,11 @@ CsmaResult RunCsma(int stations, double offered_frames_per_min, double persisten
   });
   for (int i = 0; i < stations; ++i) {
     auto o = std::make_unique<Offered>();
-    o->port = channel.CreatePort("s" + std::to_string(i));
+    // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict for
+    // `"s" + std::string`.
+    std::string name = "s";
+    name += std::to_string(i);
+    o->port = channel.CreatePort(std::move(name));
     MacParams mac;
     mac.persistence = persistence;
     mac.tx_delay = Milliseconds(300);

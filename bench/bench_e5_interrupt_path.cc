@@ -130,9 +130,9 @@ BENCHMARK(BM_Ax25Decode)->Arg(0)->Arg(2)->Arg(8);
 
 // The full §2.2 receive path: serial delivery -> interrupt handler ->
 // on-the-fly KISS unescape -> AX.25 header checks -> IP dispatch into the
-// input queue. Arg 0 selects the serial delivery discipline: 0 = per-byte
-// (one event + one interrupt per character, the paper's DZ), 1 = silo
-// (depth-16 batched delivery, the DH-style fix §Performance calls for).
+// input queue. Arg 0 selects the serial silo depth: 0 = depth 1 (one event +
+// one interrupt per character, the paper's DZ), 1 = depth 16 (batched
+// delivery, the DH-style fix §Performance calls for).
 // Compare the "events/frame" and "interrupts/frame" counters across the two:
 // the KISS/AX.25 byte stream and decoded frame count are identical, only the
 // event machinery cost changes.
@@ -140,10 +140,7 @@ void BM_DriverReceivePath(benchmark::State& state) {
   Simulator sim;
   SerialLineConfig serial_config;
   serial_config.baud_rate = 9600;
-  if (state.range(0) != 0) {
-    serial_config.mode = SerialLineConfig::Mode::kSilo;
-    serial_config.silo_depth = 16;
-  }
+  serial_config.silo_depth = state.range(0) != 0 ? 16 : 1;
   SerialLine serial(&sim, serial_config);
   PacketRadioConfig config;
   config.local_address = Ax25Address("N7AKR", 1);

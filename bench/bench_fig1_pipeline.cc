@@ -20,22 +20,29 @@ struct StagePair {
   std::unique_ptr<RadioStation> b;
 };
 
+RadioStationConfig StationConfig(std::string hostname, Ax25Address callsign,
+                                 IpV4Address ip, std::uint32_t baud,
+                                 std::uint64_t seed) {
+  RadioStationConfig c;
+  // Moved in, not assigned from a literal: GCC 12 at -O3 reports a false
+  // -Wrestrict for replacing the default hostname in place.
+  c.hostname = std::move(hostname);
+  c.callsign = callsign;
+  c.ip = ip;
+  c.serial_baud = baud;
+  c.seed = seed;
+  // Deterministic MAC for a clean budget: no persistence lottery.
+  c.tnc.mac.persistence = 1.0;
+  return c;
+}
+
 StagePair MakePair(Simulator* sim, RadioChannel* channel, std::uint32_t baud) {
   StagePair p;
-  RadioStationConfig ca;
-  ca.hostname = "a";
-  ca.callsign = Ax25Address("KD7AA", 0);
-  ca.ip = IpV4Address(44, 24, 0, 10);
-  ca.serial_baud = baud;
-  ca.seed = 1;
-  // Deterministic MAC for a clean budget: no persistence lottery.
-  ca.tnc.mac.persistence = 1.0;
+  const RadioStationConfig ca =
+      StationConfig("a", Ax25Address("KD7AA", 0), IpV4Address(44, 24, 0, 10), baud, 1);
   p.a = std::make_unique<RadioStation>(sim, channel, ca);
-  RadioStationConfig cb = ca;
-  cb.hostname = "b";
-  cb.callsign = Ax25Address("KD7BB", 0);
-  cb.ip = IpV4Address(44, 24, 0, 11);
-  cb.seed = 2;
+  const RadioStationConfig cb =
+      StationConfig("b", Ax25Address("KD7BB", 0), IpV4Address(44, 24, 0, 11), baud, 2);
   p.b = std::make_unique<RadioStation>(sim, channel, cb);
   p.a->radio_if()->AddArpEntry(cb.ip, cb.callsign);
   p.b->radio_if()->AddArpEntry(ca.ip, ca.callsign);

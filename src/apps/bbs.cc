@@ -90,8 +90,15 @@ void Ax25Bbs::OnLine(Session* s, const std::string& line) {
       s->conn->Send(Line("No messages"));
     }
     for (std::size_t i = 0; i < messages_.size(); ++i) {
-      s->conn->Send(Line("#" + std::to_string(i + 1) + " " + messages_[i].from + ": " +
-                         messages_[i].subject));
+      // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict for
+      // `"#" + std::string`.
+      std::string entry = "#";
+      entry += std::to_string(i + 1);
+      entry += ' ';
+      entry += messages_[i].from;
+      entry += ": ";
+      entry += messages_[i].subject;
+      s->conn->Send(Line(entry));
     }
     SendPrompt(s);
   } else if (cmd == 'R') {

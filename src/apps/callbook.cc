@@ -1,5 +1,7 @@
 #include "src/apps/callbook.h"
 
+#include <algorithm>
+
 namespace upr {
 
 namespace {
@@ -7,6 +9,15 @@ namespace {
 void WriteString(ByteWriter* w, const std::string& s) {
   w->WriteU8(static_cast<std::uint8_t>(s.size()));
   w->WriteBytes(BytesFromString(s));
+}
+
+// One opcode byte followed by the callsign's characters, built at its final
+// size: growing it by push_back then insert draws a false -Warray-bounds
+// from GCC 12 at -O3.
+Bytes OpWithCallsign(std::uint8_t op, const std::string& callsign) {
+  Bytes out(1 + callsign.size(), op);
+  std::copy(callsign.begin(), callsign.end(), out.begin() + 1);
+  return out;
 }
 
 std::optional<std::string> ReadString(ByteReader* r) {
@@ -85,8 +96,7 @@ void CallbookServer::OnQuery(IpV4Address src, std::uint16_t sport, const Bytes& 
   Bytes reply;
   if (it == entries_.end()) {
     ++misses_;
-    reply.push_back(kOpNotFound);
-    reply.insert(reply.end(), callsign.begin(), callsign.end());
+    reply = OpWithCallsign(kOpNotFound, callsign);
   } else {
     ++served_;
     reply.push_back(kOpFound);
@@ -143,11 +153,9 @@ void CallbookClient::Query(const std::string& callsign, QueryHandler handler,
 }
 
 void CallbookClient::SendQuery(Pending* p) {
-  Bytes query;
-  query.push_back(kOpQuery);
-  query.insert(query.end(), p->callsign.begin(), p->callsign.end());
   ++sent_;
-  udp_->SendTo(p->server, kCallbookPort, local_port_, query);
+  udp_->SendTo(p->server, kCallbookPort, local_port_,
+               OpWithCallsign(kOpQuery, p->callsign));
 }
 
 void CallbookClient::OnReply(IpV4Address src, std::uint16_t sport, const Bytes& data) {

@@ -366,7 +366,10 @@ std::optional<Ax25Frame::DecodedView> Ax25Frame::DecodeView(
 std::string Ax25Frame::ToString() const {
   std::string out = source.ToString() + ">" + destination.ToString();
   for (const auto& d : digipeaters) {
-    out += "," + d.address.ToString();
+    // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict for
+    // `"," + std::string`.
+    out += ',';
+    out += d.address.ToString();
     if (d.repeated) {
       out += "*";
     }

@@ -13,11 +13,11 @@
 //
 // Pacing out (sim -> fd): chunks delivered by the serial line are released
 // to the fd no earlier than the trailing edge of their last byte's wire
-// time, reconstructed independently by EdgePacer. The simulator's per-byte
-// and silo delivery paths already land batches at that edge; the pacer is
-// the guard that keeps it true at the boundary (a silo batch released ahead
-// of its on-air completion would reach the external decoder early) and
-// counts any violation as a pacing overrun.
+// time, reconstructed independently by EdgePacer. The serial line already
+// lands every delivery, one character or a silo batch, at that edge; the
+// pacer is the guard that keeps it true at the boundary (a silo batch
+// released ahead of its on-air completion would reach the external decoder
+// early) and counts any violation as a pacing overrun.
 //
 // Backpressure in (fd -> sim): the serial TX FIFO cap (max_backlog) is
 // enforced by reading at most tx_room() bytes from the fd and dropping

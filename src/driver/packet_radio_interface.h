@@ -52,8 +52,8 @@ struct PacketRadioConfig {
 };
 
 struct DriverStats {
-  // Receive interrupts taken: one per serial delivery event. In per-byte
-  // mode that is one per character (§2.2); in silo mode one per silo-full.
+  // Receive interrupts taken: one per serial delivery event. At silo depth 1
+  // that is one per character (§2.2); with a silo, one per silo-full.
   std::uint64_t interrupts = 0;
   std::uint64_t chars_in = 0;             // characters those interrupts carried
   SimTime interrupt_cpu_time = 0;
@@ -107,7 +107,7 @@ class PacketRadioInterface : public NetInterface {
   void AddArpEntry(IpV4Address ip, const Ax25Address& station,
                    std::vector<Ax25Address> digipeaters = {});
 
-  // Mean characters per receive interrupt (1.0 in per-byte serial mode).
+  // Mean characters per receive interrupt (1.0 at serial silo depth 1).
   double chars_per_interrupt() const {
     return dstats_.interrupts == 0
                ? 0.0

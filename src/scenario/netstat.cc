@@ -115,10 +115,10 @@ std::string FormatSerial(const SerialLine& line, const std::string& name) {
                    static_cast<unsigned long long>(e.backlog()));
   };
   const SerialLineConfig& cfg = line.config();
-  std::string out =
-      Sprintf("serial %s: %u baud, %s mode", name.c_str(), cfg.baud_rate,
-              cfg.mode == SerialLineConfig::Mode::kSilo ? "silo" : "per-byte");
-  if (cfg.mode == SerialLineConfig::Mode::kSilo) {
+  const bool silo = cfg.silo_depth > 1;
+  std::string out = Sprintf("serial %s: %u baud, %s mode", name.c_str(),
+                            cfg.baud_rate, silo ? "silo" : "per-byte");
+  if (silo) {
     out += Sprintf(" (depth %zu, alarm %.1f ms)", cfg.silo_depth,
                    ToMillis(cfg.silo_timeout));
   }

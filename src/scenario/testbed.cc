@@ -6,9 +6,9 @@ RadioStation::RadioStation(Simulator* sim, RadioChannel* channel,
                            RadioStationConfig config)
     : config_(std::move(config)) {
   stack_ = std::make_unique<NetStack>(sim, config_.hostname);
-  SerialLineConfig serial_config = config_.serial;
-  serial_config.baud_rate = config_.serial_baud;
-  serial_ = std::make_unique<SerialLine>(sim, serial_config);
+  serial_ = std::make_unique<SerialLine>(
+      sim, SerialLineConfig{.baud_rate = config_.serial_baud,
+                            .silo_depth = config_.silo_depth});
   // Trace attribution: the host side of the line is its DZ port, the far
   // side the TNC. Each becomes its own pcapng interface.
   serial_->a().set_name(config_.hostname + " dz0");
@@ -46,9 +46,9 @@ GatewayHost::GatewayHost(Simulator* sim, RadioChannel* channel, EtherSegment* se
                          GatewayHostConfig config)
     : config_(std::move(config)) {
   stack_ = std::make_unique<NetStack>(sim, config_.hostname);
-  SerialLineConfig serial_config = config_.serial;
-  serial_config.baud_rate = config_.serial_baud;
-  serial_ = std::make_unique<SerialLine>(sim, serial_config);
+  serial_ = std::make_unique<SerialLine>(
+      sim, SerialLineConfig{.baud_rate = config_.serial_baud,
+                            .silo_depth = config_.silo_depth});
   serial_->a().set_name(config_.hostname + " dz0");
   serial_->b().set_name(config_.hostname + " tnc");
   TncConfig tnc_config = config_.tnc;
@@ -102,7 +102,7 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   gw.radio_ip = GatewayRadioIp();
   gw.ether_ip = GatewayEtherIp();
   gw.serial_baud = config_.serial_baud;
-  gw.serial = config_.serial;
+  gw.silo_depth = config_.silo_depth;
   gw.tnc.address_filter = config_.tnc_address_filter;
   gw.tnc.mac = config_.mac;
   gw.tcp = config_.tcp;
@@ -116,7 +116,7 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
     pc.callsign = PcCallsign(i);
     pc.ip = RadioPcIp(i);
     pc.serial_baud = config_.serial_baud;
-    pc.serial = config_.serial;
+    pc.silo_depth = config_.silo_depth;
     pc.tnc.address_filter = config_.tnc_address_filter;
     pc.tnc.mac = config_.mac;
     pc.tcp = config_.tcp;

@@ -32,9 +32,9 @@ struct RadioStationConfig {
   IpV4Address ip;
   int prefix_len = 8;  // net 44 is a class A (§4.2)
   std::uint32_t serial_baud = 9600;
-  // Serial delivery discipline for the DZ<->TNC line (per-byte vs silo);
-  // `serial.baud_rate` is overridden by `serial_baud` above.
-  SerialLineConfig serial;
+  // Characters per receive interrupt on the DZ<->TNC line (1 = per
+  // character, the paper's DZ; see SerialLineConfig::silo_depth).
+  std::size_t silo_depth = 1;
   TncConfig tnc;
   PacketRadioConfig driver;
   TcpConfig tcp;
@@ -103,8 +103,7 @@ struct GatewayHostConfig {
   int ether_prefix_len = 24;
   std::uint32_t mac_index = 0;
   std::uint32_t serial_baud = 9600;
-  // Serial delivery discipline (per-byte vs silo); baud comes from above.
-  SerialLineConfig serial;
+  std::size_t silo_depth = 1;  // characters per receive interrupt
   TncConfig tnc;
   PacketRadioConfig driver;
   TcpConfig tcp;
@@ -149,9 +148,8 @@ struct TestbedConfig {
   double radio_loss_rate = 0.0;
   double radio_bit_error_rate = 0.0;
   std::uint32_t serial_baud = 9600;
-  // Serial delivery discipline applied to every station's DZ<->TNC line
-  // (per-byte vs silo); its baud_rate is overridden by serial_baud above.
-  SerialLineConfig serial;
+  // Characters per receive interrupt on every station's DZ<->TNC line.
+  std::size_t silo_depth = 1;
   bool tnc_address_filter = false;     // the §3 proposed fix
   bool enforce_access_control = false; // §4.3 policy on/off
   TcpConfig tcp;                        // applied to every host

@@ -129,7 +129,7 @@ void CityTopology::BuildCell(std::size_t c) {
   gw.ip = GatewayIp(c);
   gw.prefix_len = 16;  // 44.c.0.0/16 is this channel's net
   gw.serial_baud = config_.serial_baud;
-  gw.serial = config_.serial;
+  gw.silo_depth = config_.silo_depth;
   gw.tnc.mac = config_.mac;
   gw.seed = MixSeed(config_.seed, "city-gw" + std::to_string(c));
   cell->gateway = std::make_unique<RadioStation>(sim, cell->channel.get(), gw);
@@ -152,7 +152,7 @@ void CityTopology::BuildCell(std::size_t c) {
     st.ip = StationIp(c, i);
     st.prefix_len = 16;
     st.serial_baud = config_.serial_baud;
-    st.serial = config_.serial;
+    st.silo_depth = config_.silo_depth;
     st.tnc.mac = config_.mac;
     st.seed = MixSeed(config_.seed, "city-st" + std::to_string(c) + "." +
                                         std::to_string(i));

@@ -61,7 +61,7 @@ struct CityConfig {
 
   std::uint64_t radio_bit_rate = 9600;
   std::uint32_t serial_baud = 19200;
-  SerialLineConfig serial;  // baud overridden by serial_baud
+  std::size_t silo_depth = 1;  // characters per receive interrupt
   MacParams mac;
 
   std::uint64_t trunk_bit_rate = 1'000'000;

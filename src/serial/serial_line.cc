@@ -4,11 +4,13 @@
 #include <cmath>
 
 #include "src/trace/trace.h"
+#include "src/util/panic.h"
 
 namespace upr {
 
 SerialLine::SerialLine(Simulator* sim, SerialLineConfig config)
     : sim_(sim), config_(config) {
+  config_.silo_depth = std::max<std::size_t>(config_.silo_depth, 1);  // 0 reads as 1
   a_.line_ = this;
   a_.peer_ = &b_;
   b_.line_ = this;
@@ -44,65 +46,54 @@ void SerialEndpoint::DeliverChunk(const std::uint8_t* data, std::size_t len) {
   }
 }
 
-void SerialEndpoint::FlushSilo(SimTime when) {
-  if (silo_alarm_id_ != 0) {
-    line_->sim_->Cancel(silo_alarm_id_);
-    silo_alarm_id_ = 0;
-  }
-  if (silo_.empty()) {
-    return;
-  }
-  SerialEndpoint* dst = peer_;
-  ++events_scheduled_;
-  line_->sim_->ScheduleAt(when, [this, dst, chunk = std::move(silo_)] {
-    backlog_ -= chunk.size();
-    dst->DeliverChunk(chunk.data(), chunk.size());
-  });
-  silo_.clear();
-}
-
 void SerialEndpoint::ArmSiloAlarm() {
-  if (silo_alarm_id_ != 0) {
-    line_->sim_->Cancel(silo_alarm_id_);
-  }
   SimTime when = busy_until_ + line_->config_.silo_timeout;
-  SerialEndpoint* dst = peer_;
-  silo_alarm_id_ = line_->sim_->ScheduleAt(when, [this, dst] {
+  silo_alarm_id_ = line_->sim_->ScheduleAt(when, [this] {
+    // Every closed delivery landed before the alarm, so the partial silo is
+    // the whole FIFO.
+    UPR_INVARIANT(in_flight_->size() == open_, "silo alarm behind a closed delivery");
     silo_alarm_id_ = 0;
-    if (silo_.empty()) {
-      return;
-    }
-    Bytes chunk = std::move(silo_);
-    silo_.clear();
     ++events_scheduled_;
-    backlog_ -= chunk.size();
-    dst->DeliverChunk(chunk.data(), chunk.size());
+    const std::size_t n = open_;
+    open_ = 0;
+    Land(n);
   });
 }
 
-void SerialEndpoint::ArmNextByte() {
-  const InFlight& next = in_flight_->front();
-  line_->sim_->ScheduleAtSeq(next.when, next.seq, [this] { LandByte(); });
+void SerialEndpoint::ArmNextDelivery() {
+  const InFlight& closing = (*in_flight_)[line_->config_.silo_depth - 1];
+  line_->sim_->ScheduleAtSeq(closing.when, closing.seq,
+                             [this] { Land(line_->config_.silo_depth); });
 }
 
-void SerialEndpoint::LandByte() {
-  const std::uint8_t b = in_flight_->front().byte;
-  in_flight_->pop_front();
-  // Arm the successor before delivering: a handler that writes to this
-  // direction again then finds the FIFO in a consistent state. An emptied
-  // FIFO is dropped, so an idle line holds no storage.
-  if (in_flight_->empty()) {
-    in_flight_.reset();
-  } else {
-    ArmNextByte();
+void SerialEndpoint::Land(std::size_t n) {
+  std::deque<InFlight>& fifo = *in_flight_;
+  // Depth 1 delivers from a local byte; only a silo allocates its chunk.
+  std::uint8_t byte = 0;
+  Bytes silo;
+  std::uint8_t* chunk = &byte;
+  if (n > 1) {
+    silo.resize(n);
+    chunk = silo.data();
   }
-  --backlog_;
-  peer_->DeliverChunk(&b, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    chunk[i] = fifo.front().byte;
+    fifo.pop_front();
+  }
+  // Arm the next delivery before this one runs: a handler that writes to
+  // this direction again then finds the FIFO in a consistent state. An
+  // emptied FIFO is dropped, so an idle line holds no storage.
+  if (fifo.empty()) {
+    in_flight_.reset();
+  } else if (closed_in_flight()) {
+    ArmNextDelivery();
+  }
+  backlog_ -= n;
+  peer_->DeliverChunk(chunk, n);
 }
 
 void SerialEndpoint::Write(const Bytes& bytes) {
   Simulator* sim = line_->sim_;
-  const SerialLineConfig& cfg = line_->config_;
   if (auto* t = trace::Active()) {
     t->Record(trace::Layer::kSerial, trace::Kind::kSerialEnqueue,
               trace::Dir::kTx, name_, bytes,
@@ -119,34 +110,37 @@ void SerialEndpoint::Write(const Bytes& bytes) {
   // call, so the accepted bytes are a prefix of the write.
   const auto accepted =
       static_cast<std::size_t>(std::min<std::uint64_t>(bytes.size(), tx_room()));
-  const bool per_byte = cfg.mode == SerialLineConfig::Mode::kPerByte;
-  const bool arm = per_byte && accepted != 0 && !in_flight_;
-  std::uint64_t seq = 0;
-  if (per_byte) {
-    seq = sim->ReserveSeqs(accepted);
-    if (arm) {
-      in_flight_ = std::make_unique<std::deque<InFlight>>();
-    }
+  // A delivery event is armed while a closed delivery is in flight.
+  const bool armed = closed_in_flight();
+  if (accepted != 0 && !in_flight_) {
+    in_flight_ = std::make_unique<std::deque<InFlight>>();
   }
+  // The bytes that close a delivery take, in order, the seqs their events
+  // would have taken if scheduled now.
+  const std::size_t depth = line_->config_.silo_depth;
+  const std::size_t closings = (open_ + accepted) / depth;
+  std::uint64_t seq = sim->ReserveSeqs(closings);
+  events_scheduled_ += closings;
   for (std::size_t i = 0; i < accepted; ++i) {
     ++tx_bytes_since_epoch_;
     busy_until_ = tx_epoch_ + line_->transfer_time(tx_bytes_since_epoch_);
     ++bytes_sent_;
     ++backlog_;
-    if (per_byte) {
-      ++events_scheduled_;
-      in_flight_->push_back({busy_until_, seq++, bytes[i]});
-    } else {
-      silo_.push_back(bytes[i]);
-      if (silo_.size() >= cfg.silo_depth) {
-        FlushSilo(busy_until_);
-      }
+    std::uint64_t closing_seq = 0;
+    if (++open_ == depth) {
+      closing_seq = seq++;
+      open_ = 0;
     }
+    in_flight_->push_back({busy_until_, closing_seq, bytes[i]});
   }
-  if (arm) {
-    ArmNextByte();
+  if (silo_alarm_id_ != 0) {
+    sim->Cancel(silo_alarm_id_);
+    silo_alarm_id_ = 0;
   }
-  if (!per_byte && !silo_.empty()) {
+  if (!armed && closed_in_flight()) {
+    ArmNextDelivery();
+  }
+  if (open_ != 0) {
     ArmSiloAlarm();
   }
   if (accepted != bytes.size()) {

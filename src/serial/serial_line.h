@@ -1,27 +1,25 @@
 // Full-duplex RS-232 serial line between the host's DZ port and the TNC
 // (figure 1 of the paper). Bytes move at the configured baud rate, 10 bits
-// per byte (8N1 framing). Two delivery disciplines are supported:
+// per byte (8N1 framing). The receiver takes one delivery (one receive
+// interrupt) per `silo_depth` characters:
 //
-//  * kPerByte (default, paper fidelity): each byte is a separate delivery
-//    event — one receive interrupt per character, which is exactly how the
-//    paper's driver ingests packets ("For each character in the packet, the
-//    tty driver calls the packet radio interrupt handler", §2.2). The
-//    interrupts per character are unchanged by how they are queued: each
-//    direction keeps its bytes in flight in its own FIFO and holds one
-//    simulator event, for the next byte to land. Each byte reserves its
-//    event's seq at Write() time (Simulator::ReserveSeqs), so every delivery
-//    runs at the same (when, seq) place in the global order as if all of
-//    them had been scheduled up front.
+//  * Depth 1 (default, paper fidelity): each byte is its own delivery, which
+//    is exactly how the paper's driver ingests packets ("For each character
+//    in the packet, the tty driver calls the packet radio interrupt
+//    handler", §2.2).
 //
-//  * kSilo: the DH-style silo/DMA discipline the paper's §Performance points
-//    at as the cure for per-character overhead. Bytes accumulate in a
-//    hardware silo of `silo_depth` characters; one delivery event fires when
-//    the silo fills, or `silo_timeout` after the line goes quiet (the DZ-11
-//    silo alarm). The receiver gets the whole batch in one callback — one
-//    interrupt per silo-full instead of per character.
+//  * Depth > 1: the DH-style silo the paper's §Performance points at as the
+//    cure for per-character overhead. A delivery fires when the silo fills,
+//    or `silo_timeout` after the line goes quiet (the DZ-11 silo alarm), and
+//    hands the receiver the whole batch in one callback.
 //
-// Either way the byte stream, its ordering and its wire timing are
-// identical; only the number of delivery events (interrupts) changes.
+// Both depths run through one stream: each direction keeps its bytes in
+// flight in a FIFO of (land time, seq, byte) and holds one simulator event,
+// for the next delivery to land. Only the byte that closes a delivery takes
+// an event seq, reserved at Write() time (Simulator::ReserveSeqs), so every
+// delivery runs at the same (when, seq) place in the global order as if it
+// had been scheduled up front. The byte stream, its ordering and its wire
+// timing do not depend on the depth; only the number of deliveries does.
 #ifndef SRC_SERIAL_SERIAL_LINE_H_
 #define SRC_SERIAL_SERIAL_LINE_H_
 
@@ -39,17 +37,12 @@ namespace upr {
 class SerialLine;
 
 struct SerialLineConfig {
-  enum class Mode {
-    kPerByte,  // one delivery event per character (paper §2.2)
-    kSilo,     // batched delivery, DZ/DH silo style (paper §Performance)
-  };
-
   std::uint32_t baud_rate = 9600;
-  Mode mode = Mode::kPerByte;
-  // Silo mode: maximum characters per delivery event (DZ-11 had 64).
-  std::size_t silo_depth = 16;
-  // Silo mode: a partially-filled silo is flushed this long after its last
-  // byte lands (the silo-alarm timeout). 0 flushes at the last byte's land
+  // Characters per delivery event: 1 (or 0) is one receive interrupt per
+  // character (paper §2.2); more is a DZ/DH silo (the DZ-11 had 64).
+  std::size_t silo_depth = 1;
+  // A partially-filled silo is delivered this long after its last byte
+  // lands (the silo-alarm timeout). 0 delivers at the last byte's land
   // time, i.e. as soon as the burst ends.
   SimTime silo_timeout = 0;
   // Transmit FIFO cap in bytes per direction; writes beyond it are dropped
@@ -64,8 +57,8 @@ class SerialEndpoint {
   using ChunkHandler = std::function<void(const std::uint8_t* data, std::size_t len)>;
 
   // Runs once per delivery event, at its delivery time, with every byte it
-  // carried: one byte per event in per-byte mode, up to silo_depth in silo
-  // mode. The data is valid only for the duration of the call.
+  // carried: up to silo_depth bytes. The data is valid only for the
+  // duration of the call.
   void set_receive_chunk_handler(ChunkHandler h) { on_bytes_ = std::move(h); }
 
   // Queues bytes for transmission to the far end. Never blocks; the line
@@ -89,8 +82,8 @@ class SerialEndpoint {
   std::uint64_t events_scheduled() const { return events_scheduled_; }
   // Delivery events (receive interrupts) this endpoint has taken.
   std::uint64_t deliveries() const { return deliveries_; }
-  // Mean received bytes per delivery event: 1.0 in per-byte mode, up to
-  // silo_depth in silo mode.
+  // Mean received bytes per delivery event: 1.0 at depth 1, up to
+  // silo_depth for a silo.
   double bytes_per_event() const {
     return deliveries_ == 0
                ? 0.0
@@ -107,7 +100,8 @@ class SerialEndpoint {
  private:
   friend class SerialLine;
 
-  // A per-byte-mode byte on the wire: its land time and reserved event seq.
+  // A byte on the wire: its land time, and the event seq reserved for the
+  // delivery it closes (0 for a byte that does not close one).
   struct InFlight {
     SimTime when;
     std::uint64_t seq;
@@ -116,13 +110,17 @@ class SerialEndpoint {
 
   // Hands a landed chunk to the receive side of *this* endpoint.
   void DeliverChunk(const std::uint8_t* data, std::size_t len);
-  // Per-byte mode: queues the event for the oldest byte in flight.
-  void ArmNextByte();
-  // Per-byte mode: the event of the oldest byte in flight.
-  void LandByte();
-  // Schedules delivery of the accumulated silo to the peer at `when`.
-  void FlushSilo(SimTime when);
-  // (Re)arms the silo-alarm flush for a partially-filled silo.
+  // Whether a closed delivery is in flight, i.e. its event is armed. The
+  // FIFO is never empty while it exists, so with no partial silo open every
+  // byte in it belongs to a closed delivery.
+  bool closed_in_flight() const {
+    return in_flight_ && (open_ == 0 || in_flight_->size() > open_);
+  }
+  // Queues the event for the oldest closed delivery in flight.
+  void ArmNextDelivery();
+  // Pops the oldest `n` bytes in flight and delivers them to the peer.
+  void Land(std::size_t n);
+  // Arms the silo alarm that delivers the partially-filled silo.
   void ArmSiloAlarm();
 
   SerialLine* line_ = nullptr;
@@ -136,13 +134,13 @@ class SerialEndpoint {
   // per-byte truncation drift.
   SimTime tx_epoch_ = 0;
   std::uint64_t tx_bytes_since_epoch_ = 0;
-  // Per-byte mode: bytes on the wire, oldest first; only the oldest one is
-  // a pending simulator event. Created by Write() and dropped when it
-  // empties, so constructing a line allocates nothing and an idle line
-  // holds no storage.
+  // Bytes on the wire, oldest first: whole closed deliveries of silo_depth
+  // bytes each, then the `open_` bytes of a partial silo. Only the oldest
+  // closed delivery is a pending simulator event. Created by Write() and
+  // dropped when it empties, so constructing a line allocates nothing and
+  // an idle line holds no storage.
   std::unique_ptr<std::deque<InFlight>> in_flight_;
-  // Silo mode: bytes on the wire not yet bundled into a delivery event.
-  Bytes silo_;
+  std::size_t open_ = 0;
   std::uint64_t silo_alarm_id_ = 0;  // 0 while no silo alarm is armed
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;

@@ -80,7 +80,7 @@ class Simulator {
 
   // Reserves `n` consecutive sequence numbers and returns the first; they
   // count in events_scheduled() at once. A component that keeps a stream of
-  // future events outside the heap (the per-byte serial line) reserves each
+  // future events outside the heap (the serial line) reserves each
   // event's seq when it would have scheduled it and queues it later with
   // ScheduleAtSeq(): ties at equal `when` then break exactly as if every
   // event had been scheduled up front.

@@ -104,38 +104,42 @@ TEST(SerialLineTest, LaterWritesQueueBehindEarlier) {
   // Second byte lands a full byte-time after the first.
 }
 
-// --- Per-byte mode: one queued event per direction --------------------------
+// --- Depth 1 (per character): one queued event per direction -------------
 //
 // Bytes in flight wait in the endpoint's FIFO; only the next one to land is a
 // simulator event. Each byte's event keeps the seq reserved at Write() time,
 // so these tests pin both the byte stream and its place in the event order.
 
 TEST(SerialLineTest, WritesWhileBytesInFlightAppendToTheStream) {
-  Simulator sim;
-  SerialLine line(&sim, {.baud_rate = 9600});
-  Bytes got;
-  std::vector<SimTime> at;
-  line.b().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
-    got.insert(got.end(), d, d + n);
-    at.push_back(sim.Now());
-  });
-  line.a().Write(Bytes{1, 2, 3});
-  sim.RunUntil(LandTime(1, 9600));  // byte 1 landed, 2 and 3 in flight
-  line.a().Write(Bytes{4, 5});
-  line.a().Write(Bytes{6});
-  EXPECT_EQ(line.a().backlog(), 5u);
-  EXPECT_EQ(sim.pending_events(), 1u);  // only the next byte is queued
-  sim.RunAll();
-  EXPECT_EQ(got, (Bytes{1, 2, 3, 4, 5, 6}));
-  ASSERT_EQ(at.size(), 6u);
-  for (std::size_t i = 0; i < at.size(); ++i) {
-    EXPECT_EQ(at[i], LandTime(i + 1, 9600)) << "byte " << i;
+  // Depth 0 and depth 1 both mean one delivery per character.
+  for (const std::size_t depth : {0, 1}) {
+    SCOPED_TRACE(depth);
+    Simulator sim;
+    SerialLine line(&sim, {.baud_rate = 9600, .silo_depth = depth});
+    Bytes got;
+    std::vector<SimTime> at;
+    line.b().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
+      got.insert(got.end(), d, d + n);
+      at.push_back(sim.Now());
+    });
+    line.a().Write(Bytes{1, 2, 3});
+    sim.RunUntil(LandTime(1, 9600));  // byte 1 landed, 2 and 3 in flight
+    line.a().Write(Bytes{4, 5});
+    line.a().Write(Bytes{6});
+    EXPECT_EQ(line.a().backlog(), 5u);
+    EXPECT_EQ(sim.pending_events(), 1u);  // only the next byte is queued
+    sim.RunAll();
+    EXPECT_EQ(got, (Bytes{1, 2, 3, 4, 5, 6}));
+    ASSERT_EQ(at.size(), 6u);
+    for (std::size_t i = 0; i < at.size(); ++i) {
+      EXPECT_EQ(at[i], LandTime(i + 1, 9600)) << "byte " << i;
+    }
+    EXPECT_EQ(line.a().events_scheduled(), 6u);
+    EXPECT_EQ(line.b().deliveries(), 6u);
+    EXPECT_EQ(sim.events_scheduled(), 6u);
+    EXPECT_EQ(sim.executed_events(), 6u);
+    EXPECT_EQ(line.a().backlog(), 0u);
   }
-  EXPECT_EQ(line.a().events_scheduled(), 6u);
-  EXPECT_EQ(line.b().deliveries(), 6u);
-  EXPECT_EQ(sim.events_scheduled(), 6u);
-  EXPECT_EQ(sim.executed_events(), 6u);
-  EXPECT_EQ(line.a().backlog(), 0u);
 }
 
 TEST(SerialLineTest, WriteFromInsideDeliveryHandler) {
@@ -194,13 +198,12 @@ TEST(SerialLineTest, EqualTimeDeliveriesOnTwoLinesKeepLineOrder) {
   EXPECT_EQ(order, (std::vector<int>{11, 21, 12, 22, 13, 23, 24, 14}));
 }
 
-// --- Silo (DZ/DH batched) mode ---------------------------------------------
+// --- Depth > 1: DZ/DH silo --------------------------------------------------
 
 SerialLineConfig SiloConfig(std::uint32_t baud, std::size_t depth,
                             SimTime timeout = 0) {
   SerialLineConfig c;
   c.baud_rate = baud;
-  c.mode = SerialLineConfig::Mode::kSilo;
   c.silo_depth = depth;
   c.silo_timeout = timeout;
   return c;
@@ -273,9 +276,58 @@ TEST(SerialSiloTest, NewBytesExtendArmedAlarm) {
   EXPECT_EQ(sizes, (std::vector<std::size_t>{8}));
 }
 
+TEST(SerialSiloTest, EqualTimeSiloDeliveriesKeepTheirScheduleOrder) {
+  // Two depth-4 lines at 1 ms per byte, written at the same instant. Their
+  // closing bytes tie at 4 ms and break by write order. One line's partial
+  // silo goes out on a zero-timeout alarm; a handler that writes back from
+  // inside that delivery opens a new partial silo, whose alarm ties at 8 ms
+  // with the other line's closing byte reserved earlier. The other line's
+  // handler writes back from inside a full-silo delivery while its next
+  // silo is still in flight.
+  Simulator sim;
+  SerialLine one(&sim, SiloConfig(10000, 4));
+  SerialLine two(&sim, SiloConfig(10000, 4));
+  struct Delivery {
+    SimTime at;
+    int line;
+    Bytes data;
+    bool operator==(const Delivery&) const = default;
+  };
+  std::vector<Delivery> got;
+  one.b().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
+    got.push_back({sim.Now(), 1, Bytes(d, d + n)});
+    if (d[0] == 15) {
+      one.a().Write(Bytes{17, 18});  // the line went idle: a new epoch
+    }
+  });
+  two.b().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
+    got.push_back({sim.Now(), 2, Bytes(d, d + n)});
+    if (d[0] == 21) {
+      two.a().Write(Bytes{29, 30});  // queues behind 25..28
+    }
+  });
+  one.a().Write(Bytes{11, 12, 13, 14, 15, 16});
+  two.a().Write(Bytes{21, 22, 23, 24, 25, 26, 27, 28});
+  sim.RunAll();
+  const std::vector<Delivery> want = {
+      {Milliseconds(4), 1, {11, 12, 13, 14}},
+      {Milliseconds(4), 2, {21, 22, 23, 24}},
+      {Milliseconds(6), 1, {15, 16}},
+      {Milliseconds(8), 2, {25, 26, 27, 28}},
+      {Milliseconds(8), 1, {17, 18}},
+      {Milliseconds(10), 2, {29, 30}},
+  };
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(one.a().events_scheduled(), 3u);
+  EXPECT_EQ(two.a().events_scheduled(), 3u);
+  EXPECT_EQ(sim.events_scheduled(), 6u);
+  EXPECT_EQ(sim.executed_events(), 6u);
+  EXPECT_EQ(one.a().backlog() + two.a().backlog(), 0u);
+}
+
 TEST(SerialSiloTest, SameByteStreamAsPerByteModeWithFewerEvents) {
   // The acceptance criterion: the silo path must deliver a byte-identical
-  // stream with >= 3x fewer delivery events than per-byte mode.
+  // stream with >= 3x fewer delivery events than depth 1.
   Bytes sent;
   for (int i = 0; i < 500; ++i) {
     sent.push_back(static_cast<std::uint8_t>(i * 7 + 3));

@@ -50,7 +50,7 @@ struct Options {
   bool access_control = false;
   bool monitor = false;
   bool netstat = false;
-  std::size_t silo = 0;
+  std::size_t silo = 1;
   double duration = 600.0;
   std::uint64_t seed = 42;
   std::string workload = "ping";
@@ -92,8 +92,9 @@ void Usage(const char* argv0) {
       "                     127 for --ax25 2.2\n"
       "  --duration SECS    simulated run length (default 600)\n"
       "  --seed S           PRNG seed (default 42)\n"
-      "  --silo N           batch serial delivery, N chars per interrupt\n"
-      "                     (default 0 = per-character, the paper's DZ)\n"
+      "  --silo N           serial delivery, N chars per interrupt; 0 and 1\n"
+      "                     both mean one interrupt per character, the\n"
+      "                     paper's DZ (default 1)\n"
       "  --log LEVEL        log threshold: trace | debug | info | warn\n"
       "                     (default warn)\n"
       "  --monitor          print decoded channel traffic as it happens\n"
@@ -479,10 +480,7 @@ int RunLiveScenario(const Options& opt) {
     bridge::BridgePortConfig bc;
     bc.name = name;
     bc.serial.baud_rate = static_cast<std::uint32_t>(opt.rate);
-    if (opt.silo > 0) {
-      bc.serial.mode = SerialLineConfig::Mode::kSilo;
-      bc.serial.silo_depth = opt.silo;
-    }
+    bc.serial.silo_depth = opt.silo;
     bc.tnc.mac = cfg.mac;
     bc.seed = opt.seed * 100 + salt;
     return std::make_unique<bridge::BridgePort>(&exec, &channel, bc);
@@ -579,10 +577,7 @@ int RunCityScenario(const Options& opt) {
   cfg.spec = opt.city_spec;
   cfg.seed = opt.seed;
   cfg.radio_bit_rate = opt.rate;
-  if (opt.silo > 0) {
-    cfg.serial.mode = SerialLineConfig::Mode::kSilo;
-    cfg.serial.silo_depth = opt.silo;
-  }
+  cfg.silo_depth = opt.silo;
   topo::CityTopology city(cfg);
   if (!city.BackboneConnected()) {
     std::fprintf(stderr, "generated backbone is not connected (bug)\n");
@@ -635,10 +630,6 @@ int main(int argc, char** argv) {
   } else if (opt.log == "info") {
     SetLogLevel(LogLevel::kInfo);
   }
-  if (opt.pcs == 0) {
-    std::fprintf(stderr, "need at least one radio PC\n");
-    return 2;
-  }
   if (!opt.record_faults.empty() && !opt.replay_faults.empty()) {
     std::fprintf(stderr, "--record-faults and --replay-faults are exclusive\n");
     return 2;
@@ -687,10 +678,7 @@ int main(int argc, char** argv) {
   cfg.tnc_address_filter = opt.tnc_filter;
   cfg.enforce_access_control = opt.access_control;
   cfg.seed = opt.seed;
-  if (opt.silo > 0) {
-    cfg.serial.mode = SerialLineConfig::Mode::kSilo;
-    cfg.serial.silo_depth = opt.silo;
-  }
+  cfg.silo_depth = opt.silo;
   Testbed tb(cfg);
   tb.PopulateRadioArp();
 
@@ -773,16 +761,8 @@ int main(int argc, char** argv) {
   } else if (opt.workload == "tcp") {
     constexpr std::size_t kBytes = 8 * 1024;
     std::size_t received = 0;
-    NetStack* sink_stack;
-    Tcp* sink;
-    if (opt.hosts > 0) {
-      sink = &tb.host(0).tcp();
-      sink_stack = &tb.host(0).stack();
-    } else {
-      sink = &tb.pc(opt.pcs > 1 ? 1 : 0).tcp();
-      sink_stack = nullptr;
-    }
-    (void)sink_stack;
+    Tcp* sink = opt.hosts > 0 ? &tb.host(0).tcp()
+                              : &tb.pc(opt.pcs > 1 ? 1 : 0).tcp();
     sink->Listen(5001, [&](TcpConnection* c) {
       c->set_data_handler([&](const Bytes& d) { received += d.size(); });
     });
